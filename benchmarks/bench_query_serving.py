@@ -18,6 +18,8 @@ Smoke mode shrinks the domain and battery and repeats the timed loops
 so the records clear the regression gate's noise floor.
 """
 
+import pathlib
+import sys
 import time
 
 import numpy as np
@@ -28,7 +30,14 @@ from repro.distributed.frontend import QueryFrontend
 from repro.engine.registry import build
 from repro.structures.order import OrderedDomain
 from repro.structures.product import ProductDomain
-from repro.structures.ranges import Box
+from repro.structures.ranges import Box, compile_query_plan
+
+# The reference per-depth q-digest kernel lives with the test oracles.
+sys.path.append(str(pathlib.Path(__file__).resolve().parents[1] / "tests"))
+from oracles.qdigest_kernels import (  # noqa: E402
+    stream_level_tables,
+    stream_range_sums,
+)
 
 DOMAIN_BITS = 20  # one-million-key domain
 N_ITEMS = 300_000
@@ -144,33 +153,28 @@ def test_query_serving(results_dir):
             )
 
     # ------------------------------------------------------------------
-    # Interval-table store: flat kernel vs retained pointer path vs
-    # SQLite pushdown, all three bit-identical on the same battery.
-    # `serve:qdigest-stream` above already records the (default) flat
-    # path; the two extra records pin the retained baseline and the
-    # out-of-core backend so check_regression gates all of them.
+    # Interval-table store: the production flat scan vs the retained
+    # per-depth reference kernel (tests/oracles), bit-identical on the
+    # same battery.  `serve:qdigest-stream` above already records the
+    # flat scan; the extra record pins the reference so
+    # check_regression gates both.
     # ------------------------------------------------------------------
-    lines.append("== Interval store: flat vs retained vs pushdown ==")
+    lines.append("== Interval store: flat vs retained ==")
     digest = summaries["qdigest-stream"]
     flat_ans, flat_repeat = _timed(lambda: digest.query_many(queries))
-    digest.flat_kernel = False
+    plan = compile_query_plan(queries)
+
+    def _retained(tables):
+        per_box = stream_range_sums(tables, plan.bounds)
+        return plan.reduce_boxes(per_box).tolist()
+
     start = time.perf_counter()
-    retained_cold_ans = digest.query_many(queries)
+    tables = stream_level_tables(digest)
+    retained_cold_ans = _retained(tables)
     retained_cold = time.perf_counter() - start
-    retained_ans, retained_repeat = _timed(
-        lambda: digest.query_many(queries)
-    )
-    digest.flat_kernel = True
+    retained_ans, retained_repeat = _timed(lambda: _retained(tables))
     assert flat_ans == retained_ans, "flat kernel diverged (bitwise)"
     assert retained_cold_ans == retained_ans
-    digest.pushdown_budget = 0  # force the on-disk path
-    start = time.perf_counter()
-    push_cold_ans = digest.query_many(queries)
-    push_cold = time.perf_counter() - start
-    push_ans, push_repeat = _timed(lambda: digest.query_many(queries))
-    del digest.pushdown_budget
-    assert push_ans == retained_ans, "pushdown diverged (bitwise)"
-    assert push_cold_ans == retained_ans
     interval_speedup = retained_repeat / max(flat_repeat, 1e-12)
     records.append({
         "kernel": "serve:qdigest-stream:retained",
@@ -184,20 +188,9 @@ def test_query_serving(results_dir):
         "throughput_per_s": REPEATS * N_QUERIES / max(retained_repeat,
                                                       1e-12),
     })
-    records.append({
-        "kernel": "pushdown:qdigest-stream",
-        "n": N_QUERIES,
-        "summary_size": SIZE,
-        "domain_bits": DOMAIN_BITS,
-        "repeats": REPEATS,
-        "wall_time_s": push_repeat,
-        "uncached_wall_time_s": push_cold,
-        "throughput_per_s": REPEATS * N_QUERIES / max(push_repeat, 1e-12),
-    })
     lines.append(
         f"interval:qdigest-stream retained {retained_repeat:8.4f}s -> "
-        f"flat {flat_repeat:7.4f}s ({interval_speedup:.1f}x), "
-        f"pushdown {push_repeat:7.4f}s"
+        f"flat {flat_repeat:7.4f}s ({interval_speedup:.1f}x)"
     )
     perf_assert(
         interval_speedup >= 5.0,

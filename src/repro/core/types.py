@@ -51,6 +51,8 @@ class Dataset:
         )
         if self.coords.shape[0] != self.weights.shape[0]:
             raise ValueError("coords and weights must have matching length")
+        if not np.isfinite(self.weights).all():
+            raise ValueError("weights must be finite")
         if self.weights.size and float(self.weights.min()) < 0:
             raise ValueError("weights must be non-negative")
         self.domain.validate_coords(self.coords)

@@ -378,7 +378,21 @@ class MultiprocessingTransport(BaseTransport):
         return self._n
 
     def stop(self) -> None:
+        # Ask each worker to exit before hanging up: a forked worker
+        # holds inherited copies of the parent pipe ends, so closing
+        # ours alone never reaches it as EOF.  A full pipe (a stuck
+        # worker) is skipped rather than blocked on; the join below
+        # times out and terminates it.  Teardown traffic stays out of
+        # the wire stats.
+        from repro.distributed import codec
+
+        shutdown = codec.encode_message({"type": "shutdown"})
         for conn in self._conns.values():
+            try:
+                if select.select([], [conn], [], 0)[1]:
+                    conn.send_bytes(shutdown)
+            except (OSError, ValueError):
+                pass  # worker already gone
             try:
                 conn.close()
             except OSError:

@@ -1,30 +1,18 @@
-"""Flat interval-encoded hierarchy store (the XPath-accelerator trick).
+"""Flat interval-encoded store for the q-digest query kernels.
 
-Every tree the repo serves queries from -- the streaming q-digest's
-sparse dyadic forest, the batch q-digest's leaf partition, the radix
-hierarchies, the kd partition trees -- is re-encoded here as one flat
-table of *intervals*: contiguous NumPy columns ``pre``, ``post``,
-``level``, ``lo``, ``hi`` and ``mass``, one row per materialized node.
-``[lo, hi]`` is the key range a node covers and ``pre``/``post`` are
-its pre/post-order ranks, so the classic tree predicates compile to
-pure range comparisons (Grust's XPath accelerator):
+Both q-digest families serve their 1-D batteries from one flat table
+of key *intervals*: contiguous NumPy columns ``level``, ``lo``, ``hi``
+and ``mass``, one row per materialized node, where ``[lo, hi]`` is the
+key range a node covers.  The streaming q-digest encodes its sparse
+dyadic forest (:meth:`IntervalTable.from_dyadic_nodes`), the batch
+q-digest its disjoint leaf partition (:meth:`IntervalTable.
+from_leaves`).
 
-* ``v`` is a descendant-or-self of ``u``  iff  ``pre[v] >= pre[u] and
-  post[v] <= post[u]`` -- equivalently ``lo[v] >= lo[u] and
-  hi[v] <= hi[u]`` for radix trees;
-* the nodes containing a key ``x`` (the root-to-leaf path) are exactly
-  the rows with ``lo <= x <= hi``.
-
-Rows are kept in the canonical order ``(level, lo, pre)``: each level
-is a sorted run, so subtree and containment lookups become
-``searchsorted`` range scans and a range-sum battery folds per level
-with one prefix-sum difference per query (see :meth:`IntervalTable.
-range_scan`).  The same columns persist unchanged into the SQLite
-pushdown backend (:mod:`repro.backends.pushdown`) and ship over the
-distributed wire (codec tag ``interval-table``), so the in-memory
-kernels, the out-of-core backend and the transport all share one
-representation.  Encoding, invariants and the SQL shapes are specified
-in ``INTERVALS.md`` next to this module.
+Rows are kept in the canonical order ``(level, lo, pre)``, where
+``pre`` is the encoder's input rank: each level is a sorted run, so a
+range-sum battery folds per level with one prefix-sum difference per
+query (see :meth:`IntervalTable.range_scan`).  Encoding and invariants
+are specified in ``INTERVALS.md`` next to this module.
 
 The batched scan kernel avoids per-level binary searches over the
 battery: the battery's bounds are sorted once (cached on the
@@ -34,140 +22,51 @@ level's cell run is located by counting *cells* into the sorted bounds
 ``cumsum`` inversion), and the resulting gather positions plus the
 straddling-cell contributions are compiled once per (table, battery)
 pair -- a repeat battery replays pure gathers and adds.  Answers are
-bit-identical to the retained per-depth loop kernels (pinned in
+bit-identical to the reference per-depth and sorted-leaf kernels in
+``tests/oracles/qdigest_kernels.py`` (pinned in
 ``tests/test_interval_store.py``).
 """
 
 from __future__ import annotations
 
-import os
-from typing import Dict, List, Optional, Sequence, Tuple
-
 import numpy as np
-
-#: Kinds: how ``mass`` relates to the tree.
-#:
-#: * ``sparse`` -- each item's weight lives in exactly one node (the
-#:   streaming q-digest); summing across levels is meaningful.
-#: * ``aggregate`` -- every node carries the total weight of its
-#:   subtree (hierarchy rollups, kd nodes); queries use one level.
-#: * ``leaves`` -- a disjoint leaf partition (batch q-digest).
-KIND_SPARSE = "sparse"
-KIND_AGGREGATE = "aggregate"
-KIND_LEAVES = "leaves"
-_KINDS = (KIND_SPARSE, KIND_AGGREGATE, KIND_LEAVES)
-
-
-def flat_kernels_default() -> bool:
-    """Module-wide default for the flat-kernel flag.
-
-    ``REPRO_FLAT_KERNELS=0`` retains the historical pointer-path
-    kernels everywhere (the per-instance ``flat_kernel`` attribute
-    overrides in either direction).
-    """
-    return os.environ.get("REPRO_FLAT_KERNELS", "1").lower() not in (
-        "0", "false", "off"
-    )
-
-
-def use_flat(summary) -> bool:
-    """Whether ``summary`` should use the flat interval-table kernels."""
-    flag = getattr(summary, "flat_kernel", None)
-    if flag is None:
-        return flat_kernels_default()
-    return bool(flag)
-
-
-def _synth_pre_post(
-    level: np.ndarray, lo: np.ndarray, hi: np.ndarray, height: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Arithmetic pre/post ranks for 1-D radix/dyadic interval trees.
-
-    For a node covering ``[lo, hi]`` at depth ``d`` in a tree of height
-    ``H``: ``pre = lo*(H+1) + d`` and ``post = (hi+1)*(H+1) - d``.
-    Entering a child strictly increases ``pre`` and strictly decreases
-    ``post`` (same ``lo``/``hi`` but deeper), and disjoint subtrees
-    order correctly, so the encoding satisfies the accelerator
-    predicates without walking any tree.
-    """
-    scale = np.int64(height + 1)
-    pre = lo * scale + level
-    post = (hi + np.int64(1)) * scale - level
-    return pre, post
 
 
 class IntervalTable:
-    """A tree of key intervals as contiguous sorted NumPy columns.
+    """A forest of 1-D key intervals as contiguous sorted NumPy columns.
 
     Parameters
     ----------
     level:
         ``(n,)`` int64 node depths (root = 0).
     lo, hi:
-        ``(n,)`` or ``(n, d)`` int64 inclusive key bounds per node.
+        ``(n,)`` int64 inclusive key bounds per node.
     mass:
-        ``(n,)`` float64 node weights (see the kind constants).
-    pre, post:
-        Optional explicit pre/post-order ranks (required for
-        multi-dimensional tables; synthesized arithmetically for 1-D).
-    kind:
-        One of ``"sparse"`` / ``"aggregate"`` / ``"leaves"``.
-    height:
-        Tree height (max level); defaults to ``level.max()``.
+        ``(n,)`` float64 node weights.
 
-    Rows are stored in the canonical ``(level, lo[:, 0], pre)`` order;
-    all query kernels and the pushdown backend rely on it.
+    Rows are stored in the canonical ``(level, lo, pre)`` order, ``pre``
+    being the input rank; all query kernels rely on it.
     """
 
     __slots__ = (
-        "pre", "post", "level", "lo", "hi", "mass", "kind", "height",
+        "level", "lo", "hi", "mass",
         "level_values", "level_starts", "level_spans",
         "_prefix", "_cells", "_scan_memo", "_leaf_memo",
     )
 
-    def __init__(
-        self,
-        level,
-        lo,
-        hi,
-        mass,
-        *,
-        pre=None,
-        post=None,
-        kind: str = KIND_SPARSE,
-        height: Optional[int] = None,
-    ):
-        if kind not in _KINDS:
-            raise ValueError(f"unknown interval-table kind: {kind!r}")
-        level = np.ascontiguousarray(level, dtype=np.int64)
+    def __init__(self, level, lo, hi, mass):
+        level = np.asarray(level, dtype=np.int64)
         lo = np.asarray(lo, dtype=np.int64)
         hi = np.asarray(hi, dtype=np.int64)
-        if lo.ndim == 1:
-            lo = lo.reshape(-1, 1)
-            hi = hi.reshape(-1, 1)
-        mass = np.ascontiguousarray(mass, dtype=float)
+        mass = np.asarray(mass, dtype=float)
         n = level.shape[0]
-        if lo.shape != hi.shape or lo.shape[0] != n or mass.shape[0] != n:
+        if not level.shape == lo.shape == hi.shape == mass.shape == (n,):
             raise ValueError("interval-table columns disagree on length")
-        if height is None:
-            height = int(level.max()) if n else 0
-        if pre is None or post is None:
-            if lo.shape[1] != 1:
-                raise ValueError(
-                    "multi-dimensional tables need explicit pre/post ranks"
-                )
-            pre, post = _synth_pre_post(level, lo[:, 0], hi[:, 0], height)
-        pre = np.ascontiguousarray(pre, dtype=np.int64)
-        post = np.ascontiguousarray(post, dtype=np.int64)
-        order = np.lexsort((pre, lo[:, 0] if n else pre, level))
+        order = np.lexsort((np.arange(n), lo, level))
         self.level = level[order]
-        self.lo = np.ascontiguousarray(lo[order])
-        self.hi = np.ascontiguousarray(hi[order])
+        self.lo = lo[order]
+        self.hi = hi[order]
         self.mass = mass[order]
-        self.pre = pre[order]
-        self.post = post[order]
-        self.kind = kind
-        self.height = int(height)
         # Per-level layout: levels present (ascending), their row
         # ranges, and -- when every row of a level shares one span --
         # the level's cell width (-1 marks a mixed-span level, which
@@ -180,7 +79,7 @@ class IntervalTable:
             starts = np.zeros(1, dtype=np.int64)
         self.level_values = values
         self.level_starts = starts.astype(np.int64)
-        spans = self.hi[:, 0] - self.lo[:, 0] + 1
+        spans = self.hi - self.lo + 1
         level_spans = np.empty(values.shape[0], dtype=np.int64)
         for j in range(values.shape[0]):
             chunk = spans[starts[j]:starts[j + 1]]
@@ -191,44 +90,8 @@ class IntervalTable:
         self._scan_memo = None
         self._leaf_memo = None
 
-    # ------------------------------------------------------------------
-    # Basic shape / accounting
-    # ------------------------------------------------------------------
     def __len__(self) -> int:
         return self.level.shape[0]
-
-    @property
-    def dims(self) -> int:
-        """Key dimensionality."""
-        return self.lo.shape[1]
-
-    @property
-    def nbytes(self) -> int:
-        """Resident bytes of the core columns (RAM-budget accounting)."""
-        return (
-            self.pre.nbytes + self.post.nbytes + self.level.nbytes
-            + self.lo.nbytes + self.hi.nbytes + self.mass.nbytes
-        )
-
-    @property
-    def total(self) -> float:
-        """Total mass across rows."""
-        return float(self.mass.sum())
-
-    def equals(self, other: "IntervalTable") -> bool:
-        """Exact structural equality (columns, kind, height)."""
-        return (
-            isinstance(other, IntervalTable)
-            and self.kind == other.kind
-            and self.height == other.height
-            and self.lo.shape == other.lo.shape
-            and bool(np.array_equal(self.level, other.level))
-            and bool(np.array_equal(self.lo, other.lo))
-            and bool(np.array_equal(self.hi, other.hi))
-            and bool(np.array_equal(self.pre, other.pre))
-            and bool(np.array_equal(self.post, other.post))
-            and bool(np.array_equal(self.mass, other.mass))
-        )
 
     # ------------------------------------------------------------------
     # Encoders
@@ -241,9 +104,8 @@ class IntervalTable:
         q-digest): node ``v`` at depth ``d = floor(log2 v)`` covers
         ``[(v - 2^d) * 2^(bits-d), ...]``."""
         nodes = np.asarray(nodes, dtype=np.int64)
-        counts = np.asarray(counts, dtype=float)
         # Depth = bit length - 1, via exact integer halving (no float
-        # log); same computation as the retained per-depth kernel.
+        # log); same computation as the reference per-depth kernel.
         remaining = nodes.copy()
         depths = np.zeros(nodes.shape[0], dtype=np.int64)
         for shift in (32, 16, 8, 4, 2, 1):
@@ -252,159 +114,21 @@ class IntervalTable:
             remaining[big] >>= shift
         spans = np.int64(1) << (np.int64(bits) - depths)
         lo = (nodes - (np.int64(1) << depths)) * spans
-        hi = lo + spans - 1
-        return cls(
-            depths, lo, hi, counts, kind=KIND_SPARSE, height=int(bits)
-        )
+        return cls(depths, lo, lo + spans - 1, counts)
 
     @classmethod
     def from_leaves(
         cls, lows: np.ndarray, highs: np.ndarray, weights: np.ndarray
     ) -> "IntervalTable":
-        """Encode a (possibly multi-dimensional) leaf partition.
+        """Encode a 1-D leaf partition.
 
-        All rows land on level 0 with insertion-order pre/post ranks,
-        so the canonical sort is a stable sort by ``lo`` -- exactly the
-        batch q-digest's historical sorted-leaf order.
+        All rows land on level 0, so the canonical sort is a stable
+        sort by ``lo`` -- exactly the batch q-digest's historical
+        sorted-leaf order.
         """
         lows = np.asarray(lows, dtype=np.int64)
-        highs = np.asarray(highs, dtype=np.int64)
-        if lows.ndim == 1:
-            lows = lows.reshape(-1, 1)
-            highs = highs.reshape(-1, 1)
-        n = lows.shape[0]
-        ranks = np.arange(n, dtype=np.int64)
-        return cls(
-            np.zeros(n, dtype=np.int64), lows, highs,
-            np.asarray(weights, dtype=float),
-            pre=ranks, post=ranks, kind=KIND_LEAVES, height=0,
-        )
-
-    @classmethod
-    def from_hierarchy(
-        cls,
-        hierarchy,
-        keys: np.ndarray,
-        weights: np.ndarray,
-        max_depth: Optional[int] = None,
-    ) -> "IntervalTable":
-        """Per-level rollups of weighted keys over a radix hierarchy.
-
-        One row per induced node per level ``0..max_depth`` (default:
-        the leaf depth), each carrying its subtree's total weight --
-        the drilldown store: :meth:`range_scan` at the leaf level is
-        exact, shallower levels answer subtree masses directly.
-        """
-        keys = np.asarray(keys, dtype=np.int64).reshape(-1)
-        weights = np.asarray(weights, dtype=float).reshape(-1)
-        if keys.shape[0] != weights.shape[0]:
-            raise ValueError("keys and weights disagree on length")
-        depth = hierarchy.depth if max_depth is None else int(max_depth)
-        if not 0 <= depth <= hierarchy.depth:
-            raise ValueError("max_depth outside the hierarchy")
-        order = np.argsort(keys, kind="stable")
-        sorted_keys = keys[order]
-        sorted_w = weights[order]
-        levels: List[np.ndarray] = []
-        los: List[np.ndarray] = []
-        his: List[np.ndarray] = []
-        masses: List[np.ndarray] = []
-        for d in range(depth + 1):
-            span = np.int64(hierarchy.span(d))
-            nodes = sorted_keys // span
-            cuts = np.flatnonzero(np.diff(nodes)) + 1
-            starts = np.concatenate(([0], cuts))
-            sums = np.add.reduceat(sorted_w, starts) if nodes.size else (
-                np.zeros(0)
-            )
-            uniq = nodes[starts] if nodes.size else nodes
-            levels.append(np.full(uniq.shape[0], d, dtype=np.int64))
-            los.append(uniq * span)
-            his.append(uniq * span + span - 1)
-            masses.append(np.asarray(sums, dtype=float))
-        return cls(
-            np.concatenate(levels), np.concatenate(los),
-            np.concatenate(his), np.concatenate(masses),
-            kind=KIND_AGGREGATE, height=depth,
-        )
-
-    @classmethod
-    def from_kd(cls, root) -> "IntervalTable":
-        """Encode a kd partition tree (every node, internal and leaf).
-
-        ``pre``/``post`` are the DFS entry/exit ranks; ``lo``/``hi``
-        are the ``(n, d)`` node boxes and ``mass`` each node's subtree
-        weight (kd nodes are aggregates).
-        """
-        rows: List[Tuple[int, int, int, Tuple, Tuple, float]] = []
-        pre_counter = 0
-        post_counter = 0
-        # (node, depth, child iterator state) -- iterative DFS so deep
-        # trees cannot blow the recursion limit.
-        stack = [(root, 0, False, None)]
-        pre_of: Dict[int, int] = {}
-        while stack:
-            node, depth, visited, slot = stack.pop()
-            if not visited:
-                pre_of[id(node)] = pre_counter
-                pre_counter += 1
-                stack.append((node, depth, True, len(rows)))
-                rows.append(None)  # placeholder until exit rank known
-                for child in (node.right, node.left):
-                    if child is not None:
-                        stack.append((child, depth + 1, False, None))
-            else:
-                rows[slot] = (
-                    pre_of[id(node)], post_counter, depth,
-                    tuple(int(v) for v in node.box.lows),
-                    tuple(int(v) for v in node.box.highs),
-                    float(node.mass),
-                )
-                post_counter += 1
-        pre = np.asarray([r[0] for r in rows], dtype=np.int64)
-        post = np.asarray([r[1] for r in rows], dtype=np.int64)
-        level = np.asarray([r[2] for r in rows], dtype=np.int64)
-        lo = np.asarray([r[3] for r in rows], dtype=np.int64)
-        hi = np.asarray([r[4] for r in rows], dtype=np.int64)
-        mass = np.asarray([r[5] for r in rows], dtype=float)
-        return cls(
-            level, lo, hi, mass, pre=pre, post=post,
-            kind=KIND_AGGREGATE, height=int(level.max()) if len(rows) else 0,
-        )
-
-    # ------------------------------------------------------------------
-    # Tree predicates (pre/post range tests)
-    # ------------------------------------------------------------------
-    def descendant_mask(self, row: int) -> np.ndarray:
-        """Boolean mask of descendants-or-self of ``row`` -- the
-        accelerator window ``pre >= pre[row] and post <= post[row]``."""
-        return (self.pre >= self.pre[row]) & (self.post <= self.post[row])
-
-    def subtree_mass(self, row: int) -> float:
-        """Total mass under ``row`` (its own row included)."""
-        if self.kind == KIND_AGGREGATE:
-            return float(self.mass[row])
-        return float(self.mass[self.descendant_mask(row)].sum())
-
-    def ancestor_rows(self, key: Sequence[int]) -> np.ndarray:
-        """Rows whose interval contains ``key`` (the root-to-leaf
-        path), shallowest first -- a pure containment range scan."""
-        point = np.asarray(key, dtype=np.int64).reshape(1, -1)
-        if point.shape[1] != self.dims:
-            raise ValueError("key dimensionality mismatch")
-        mask = ((self.lo <= point) & (self.hi >= point)).all(axis=1)
-        return np.flatnonzero(mask)
-
-    def node_row(self, level: int, lo: int) -> Optional[int]:
-        """Canonical-order row of the node at ``(level, lo)``, if any."""
-        j = int(np.searchsorted(self.level_values, level))
-        if j == self.level_values.shape[0] or self.level_values[j] != level:
-            return None
-        start, end = self.level_starts[j], self.level_starts[j + 1]
-        pos = start + np.searchsorted(self.lo[start:end, 0], lo)
-        if pos < end and self.lo[pos, 0] == lo:
-            return int(pos)
-        return None
+        return cls(np.zeros(lows.shape[0], dtype=np.int64), lows, highs,
+                   weights)
 
     # ------------------------------------------------------------------
     # Range-sum kernels
@@ -416,7 +140,7 @@ class IntervalTable:
         ``[s_j + j, e_j + j]`` -- each level contributes one extra
         leading ``0.0``, so a run inside a level differences to the
         same floats as a standalone per-level ``cumsum`` (bit-identical
-        to the retained per-depth kernel's prefixes).
+        to the reference per-depth kernel's prefixes).
         """
         if self._prefix is None:
             parts = []
@@ -430,55 +154,46 @@ class IntervalTable:
         return self._prefix
 
     def _ensure_cells(self) -> np.ndarray:
-        """Per-row cell index ``lo // span(level)`` (1-D tables)."""
+        """Per-row cell index ``lo // span(level)``."""
         if self._cells is None:
             spans = self.level_spans[
                 np.searchsorted(self.level_values, self.level)
             ]
-            self._cells = self.lo[:, 0] // spans
+            self._cells = self.lo // spans
         return self._cells
 
     def scannable(self) -> bool:
-        """Whether the dyadic scan kernel applies: 1-D and every level
-        a uniform-span sorted run."""
-        return self.dims == 1 and bool((self.level_spans > 0).all())
+        """Whether the dyadic scan kernel applies: every level a
+        uniform-span sorted run."""
+        return bool((self.level_spans > 0).all())
 
     def leaves_disjoint(self) -> bool:
-        """Whether rows are pairwise-disjoint sorted 1-D intervals."""
-        if self.dims != 1 or self.level_values.shape[0] > 1:
+        """Whether rows are pairwise-disjoint sorted intervals."""
+        if self.level_values.shape[0] > 1:
             return False
-        lo = self.lo[:, 0]
-        hi = self.hi[:, 0]
-        return lo.shape[0] <= 1 or bool((hi[:-1] < lo[1:]).all())
+        return len(self) <= 1 or bool((self.hi[:-1] < self.lo[1:]).all())
 
-    def range_scan(self, plan, levels: Optional[Sequence[int]] = None):
+    def range_scan(self, plan) -> np.ndarray:
         """Battery range sums over the sorted per-level cell runs.
 
         ``plan`` is a :class:`~repro.structures.ranges.QueryPlan` (or
         any object with ``bounds`` and ``sorted_1d()``); returns the
-        per-box sums in ``plan.bounds`` order.  For ``sparse`` tables
-        all levels fold (each item's weight lives in one node); for
-        ``aggregate`` tables the scan restricts to the deepest level
-        unless ``levels`` selects others.  Straddling cells contribute
+        per-box sums in ``plan.bounds`` order.  All levels fold (each
+        item's weight lives in one node).  Straddling cells contribute
         their overlapped span fraction, exactly like the scalar
         ``range_sum`` path.  The compiled scan -- gather positions and
         straddler contributions -- is memoized per battery, so a
         repeated battery replays pure prefix gathers and adds.
         """
         if not self.scannable():
-            raise ValueError(
-                "range_scan needs a 1-D table with uniform-span levels"
-            )
-        if levels is None and self.kind == KIND_AGGREGATE:
-            levels = [int(self.level_values[-1])]
+            raise ValueError("range_scan needs uniform-span levels")
         bounds = plan.bounds
-        key = (id(plan), None if levels is None else tuple(levels))
         memo = self._scan_memo
-        if memo is None or memo[0] != key:
+        if memo is None or memo[0] != id(plan):
             lo = bounds[:, 0, 0]
             hi = bounds[:, 0, 1]
-            memo = (key, self._compile_scan(lo, hi, plan.sorted_1d(),
-                                            levels), plan)
+            memo = (id(plan), self._compile_scan(lo, hi, plan.sorted_1d()),
+                    plan)
             self._scan_memo = memo
         prefix = self._ensure_prefix()
         per_box = np.zeros(bounds.shape[0], dtype=float)
@@ -490,68 +205,30 @@ class IntervalTable:
                 per_box[hrows] += hcontrib
         return per_box
 
-    def scan_bounds(self, lo: np.ndarray, hi: np.ndarray,
-                    levels: Optional[Sequence[int]] = None) -> np.ndarray:
-        """:meth:`range_scan` over raw bound arrays (no plan, no memo)."""
-        if not self.scannable():
-            raise ValueError(
-                "range_scan needs a 1-D table with uniform-span levels"
-            )
-        if levels is None and self.kind == KIND_AGGREGATE:
-            levels = [int(self.level_values[-1])]
-        lo = np.asarray(lo, dtype=np.int64)
-        hi = np.asarray(hi, dtype=np.int64)
-        order_lo = np.argsort(lo, kind="stable")
-        order_hi = np.argsort(hi, kind="stable")
-        compiled = self._compile_scan(
-            lo, hi, (order_lo, lo[order_lo], order_hi, hi[order_hi]),
-            levels,
-        )
-        prefix = self._ensure_prefix()
-        per_box = np.zeros(lo.shape[0], dtype=float)
-        for pos_lo, pos_hic, lrows, lcontrib, hrows, hcontrib in compiled:
-            per_box += prefix[pos_hic] - prefix[pos_lo]
-            if lrows.size:
-                per_box[lrows] += lcontrib
-            if hrows.size:
-                per_box[hrows] += hcontrib
-        return per_box
-
-    def _compile_scan(self, lo, hi, sorted_1d, levels):
+    def _compile_scan(self, lo, hi, sorted_1d):
         """Compile one battery against the table (see module docstring).
 
-        Per selected level the contained cell run ``[a, b]`` is located
-        without per-query binary searches: the level's few cells are
+        Per level the contained cell run ``[a, b]`` is located without
+        per-query binary searches: the level's few cells are
         positioned among the battery's *sorted* bounds, and the
         positions invert to per-query run indices through a
         ``bincount``/``cumsum`` step function.  The two possible
         straddling cells per query are then the rows adjacent to the
         run -- no further searches.  Produced indices and contributions
-        are bit-identical to the retained per-depth kernel.
+        are bit-identical to the reference per-depth kernel.
         """
         order_lo, sorted_lo, order_hi, sorted_hi = sorted_1d
         q = lo.shape[0]
         cells = self._ensure_cells()
         starts = self.level_starts
         compiled = []
-        if levels is None:
-            selected = range(self.level_values.shape[0])
-        else:
-            selected = [
-                int(np.searchsorted(self.level_values, lvl))
-                for lvl in levels
-            ]
-            for j, lvl in zip(selected, levels):
-                if (j >= self.level_values.shape[0]
-                        or self.level_values[j] != lvl):
-                    raise ValueError(f"level {lvl} not in table")
-        for j in selected:
+        for j in range(self.level_values.shape[0]):
             s = self.level_spans[j]
             base = int(starts[j])
             n_j = int(starts[j + 1]) - base
             cells_j = cells[base:base + n_j]
-            pbase = base + int(np.searchsorted(self.level_values,
-                                               self.level_values[j]))
+            # Level j's prefix run starts j slots after its rows.
+            pbase = base + j
             # Contained run [a, b] located by counting cells into the
             # sorted battery bounds (t/u are per-cell positions; the
             # bincount/cumsum inverts them to per-query run indices).
@@ -596,7 +273,7 @@ class IntervalTable:
         level (-1: no candidate); a candidate is real when the row
         exists and its cell equals ``cand``.  Contributions are the
         overlapped span fraction, computed with the exact op order of
-        the retained kernel (``mass * overlap / float(span)``).
+        the reference kernel (``mass * overlap / float(span)``).
         """
         valid = (local_pos >= 0) & (local_pos < n_j)
         probe = np.where(valid, local_pos, 0)
@@ -613,13 +290,13 @@ class IntervalTable:
         return rows, contrib
 
     # ------------------------------------------------------------------
-    # Disjoint-leaf kernel (batch q-digest 1-D fast path)
+    # Disjoint-leaf kernel (batch q-digest 1-D path)
     # ------------------------------------------------------------------
     def _ensure_leaf_arrays(self):
         """Float leaf views for :meth:`leaf_range_sums` (lazy memo)."""
         if self._leaf_memo is None:
-            los = self.lo[:, 0].astype(float)
-            his = self.hi[:, 0].astype(float)
+            los = self.lo.astype(float)
+            his = self.hi.astype(float)
             volumes = his - los + 1.0
             prefix = np.concatenate(([0.0], np.cumsum(self.mass)))
             self._leaf_memo = (los, his, self.mass, volumes, prefix)
@@ -628,12 +305,11 @@ class IntervalTable:
     def leaf_range_sums(self, bounds: np.ndarray, mode: str) -> np.ndarray:
         """Prefix-sum range sums over disjoint sorted 1-D leaves.
 
-        The shared implementation of the batch q-digest's sorted-leaf
-        fast path: fully-contained leaves are one prefix-sum run, and
-        only the two leaves holding the query endpoints can be
-        boundary leaves, handled per ``mode`` (``"half"`` /
-        ``"uniform"`` / ``"lower"``).  Bit-identical to the retained
-        ``QDigestSummary._query_boxes_1d``.
+        The batch q-digest's 1-D kernel: fully-contained leaves are one
+        prefix-sum run, and only the two leaves holding the query
+        endpoints can be boundary leaves, handled per ``mode``
+        (``"half"`` / ``"uniform"`` / ``"lower"``).  Bit-identical to
+        the reference sorted-leaf kernel.
         """
         if not self.leaves_disjoint():
             raise ValueError("leaf_range_sums needs disjoint 1-D leaves")
@@ -674,40 +350,8 @@ class IntervalTable:
                 per_box[rows] += overlap / volumes[leaf] * weights[leaf]
         return per_box
 
-    # ------------------------------------------------------------------
-    # Wire codec hooks (repro.distributed.codec)
-    # ------------------------------------------------------------------
-    def to_state(self) -> dict:
-        """The table as codec-friendly primitives (bit-exact)."""
-        return {
-            "kind": self.kind,
-            "height": self.height,
-            "level": self.level,
-            "lo": self.lo,
-            "hi": self.hi,
-            "mass": self.mass,
-            "pre": self.pre,
-            "post": self.post,
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "IntervalTable":
-        """Rebuild an interval table from :meth:`to_state` output."""
-        lo = np.asarray(state["lo"], dtype=np.int64)
-        hi = np.asarray(state["hi"], dtype=np.int64)
-        return cls(
-            np.asarray(state["level"], dtype=np.int64),
-            lo,
-            hi,
-            np.asarray(state["mass"], dtype=float),
-            pre=np.asarray(state["pre"], dtype=np.int64),
-            post=np.asarray(state["post"], dtype=np.int64),
-            kind=str(state["kind"]),
-            height=int(state["height"]),
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"IntervalTable(kind={self.kind!r}, rows={len(self)}, "
-            f"dims={self.dims}, levels={self.level_values.tolist()})"
+            f"IntervalTable(rows={len(self)}, "
+            f"levels={self.level_values.tolist()})"
         )

@@ -46,6 +46,32 @@ def battery_plans(summary) -> SortOrderCache:
     return cache
 
 
+def clamp_box(box: Box, bits: Sequence[int]) -> Optional[Box]:
+    """``box`` intersected with the key space ``[0, 2**bits[a])`` per axis.
+
+    ``None`` when the two share no key (the box answers ``0.0``): the
+    scalar half of the query contract in :meth:`Summary.query`, for
+    the dyadic families, whose key space is a power of two per axis.
+    """
+    highs = tuple((1 << b) - 1 for b in bits)
+    return box.intersection(Box((0,) * len(highs), highs))
+
+
+def clamp_bounds(
+    bounds: np.ndarray, bits: Sequence[int]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Clip a ``(B, d, 2)`` bounds stack to ``[0, 2**bits[a])`` per axis.
+
+    Returns ``(clipped, outside)``: the clipped copy, and a mask of the
+    boxes that share no key with the key space -- their clipped bounds
+    are a valid point box, so kernels answer them and the caller zeroes
+    them.  The batched half of :func:`clamp_box`.
+    """
+    top = (np.int64(1) << np.asarray(bits, dtype=np.int64))[None, :] - 1
+    outside = ((bounds[:, :, 1] < 0) | (bounds[:, :, 0] > top)).any(axis=1)
+    return np.clip(bounds, 0, top[:, :, None]), outside
+
+
 def coerce_batch(
     keys, weights, dims: Optional[int] = None
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -99,7 +125,16 @@ class Summary(abc.ABC):
 
     @abc.abstractmethod
     def query(self, box: Box) -> float:
-        """Estimated total weight of keys inside ``box``."""
+        """Estimated total weight of keys inside ``box``.
+
+        The query contract, shared by every family and by the scalar
+        and batched paths alike: a box is answered as its intersection
+        with the summary's key space, ``[0, size - 1]`` on each domain
+        axis.  (The dyadic families, ``wavelet`` and ``sketch``, round
+        ``size`` up to a power of two; the padding holds no keys.)  A
+        box reaching past an edge answers as its in-domain part, and a
+        box wholly outside answers ``0.0``; neither raises.
+        """
 
     def query_multi(self, query) -> float:
         """Estimated total weight inside a union of disjoint boxes.

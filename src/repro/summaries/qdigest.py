@@ -24,7 +24,7 @@ from typing import Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro.core.types import Dataset
-from repro.structures.intervals import IntervalTable, use_flat
+from repro.structures.intervals import IntervalTable
 from repro.structures.ranges import Box, MultiRangeQuery
 from repro.summaries.base import Summary, battery_plans
 
@@ -186,102 +186,27 @@ class QDigestSummary(Summary):
         overlap_volume = np.prod(overlap, axis=1)
         return float((self._weights * self._fractions(overlap_volume)).sum())
 
-    def _sorted_1d(self):
-        """Sorted-leaf arrays for the 1-D prefix fast path (lazy memo).
-
-        Returns ``None`` unless the digest is 1-D with pairwise-disjoint
-        leaves (a fresh build always is; a merge of shards may overlap
-        spatially, in which case the dense kernel applies).  Otherwise
-        returns ``(los, his, weights, volumes, prefix)`` sorted by leaf
-        low endpoint; leaves never change after construction, so the
-        memo is one-shot.
-        """
-        if self._dims != 1:
-            return None
-        cached = self.__dict__.get("_sorted_leaves")
-        if cached is None:
-            order = np.argsort(self._lows[:, 0], kind="stable")
-            los = self._lows[order, 0]
-            his = self._highs[order, 0]
-            if los.size > 1 and not bool((his[:-1] < los[1:]).all()):
-                cached = (False,)  # overlapping leaves: merged digest
-            else:
-                weights = self._weights[order]
-                volumes = self._volumes[order]
-                prefix = np.concatenate(([0.0], np.cumsum(weights)))
-                cached = (True, los, his, weights, volumes, prefix)
-            self.__dict__["_sorted_leaves"] = cached
-        return cached[1:] if cached[0] else None
-
     def interval_table(self) -> IntervalTable:
         """The leaf partition as a flat :class:`IntervalTable`.
 
-        All leaves sit on level 0 with insertion-order pre/post ranks,
-        so the table's canonical order is the stable sort by leaf low
-        endpoint -- exactly the retained :meth:`_sorted_1d` order,
-        which keeps :meth:`IntervalTable.leaf_range_sums` bit-identical
-        to :meth:`_query_boxes_1d`.  Leaves never change after
-        construction (merges build new summaries), so the memo is
-        one-shot.
+        1-D only.  All leaves sit on level 0, so the table's canonical
+        order is the stable sort by leaf low endpoint -- exactly the
+        reference sorted-leaf kernel's order, which keeps
+        :meth:`IntervalTable.leaf_range_sums` bit-identical to it.
+        Leaves never change after construction (merges build new
+        summaries), so the memo is one-shot.
         """
         cached = self.__dict__.get("_flat_table")
         if cached is None:
             # Leaf bounds are dyadic integers stored as floats; the
             # int64 conversion is exact.
             cached = IntervalTable.from_leaves(
-                self._lows.astype(np.int64),
-                self._highs.astype(np.int64),
+                self._lows[:, 0].astype(np.int64),
+                self._highs[:, 0].astype(np.int64),
                 self._weights,
             )
             self.__dict__["_flat_table"] = cached
         return cached
-
-    def _query_boxes_1d(self, bounds: np.ndarray, sorted_1d) -> np.ndarray:
-        """Prefix-sum kernel over disjoint sorted 1-D leaves.
-
-        Fully-contained leaves form one contiguous run in the sorted
-        order (two ``searchsorted`` calls and a prefix-sum difference);
-        at most two leaves -- the ones containing the query endpoints --
-        can be boundary leaves, handled per the ``partial`` mode.
-        ``O(q log L)`` instead of the dense ``O(q L)``.
-        """
-        los, his, weights, volumes, prefix = sorted_1d
-        q_lo = bounds[:, 0, 0]
-        q_hi = bounds[:, 0, 1]
-        first = np.searchsorted(los, q_lo, side="left")
-        last = np.searchsorted(his, q_hi, side="right")
-        per_box = np.where(last > first, prefix[last] - prefix[first], 0.0)
-        if self._partial == "lower":
-            return per_box
-        # Boundary candidates: the leaf containing each endpoint.
-        left = np.searchsorted(los, q_lo, side="right") - 1
-        right = np.searchsorted(los, q_hi, side="right") - 1
-        for cand, endpoint, extra in (
-            (left, q_lo, None),
-            (right, q_hi, right != left),
-        ):
-            clamped = np.maximum(cand, 0)
-            boundary = (
-                (cand >= 0)
-                & (his[clamped] >= endpoint)
-                & ~((los[clamped] >= q_lo) & (his[clamped] <= q_hi))
-            )
-            if extra is not None:
-                boundary &= extra
-            rows = np.flatnonzero(boundary)
-            if rows.size == 0:
-                continue
-            leaf = clamped[rows]
-            if self._partial == "half":
-                per_box[rows] += 0.5 * weights[leaf]
-            else:  # uniform
-                overlap = (
-                    np.minimum(his[leaf], q_hi[rows])
-                    - np.maximum(los[leaf], q_lo[rows])
-                    + 1.0
-                )
-                per_box[rows] += overlap / volumes[leaf] * weights[leaf]
-        return per_box
 
     def query_many(self, queries: Iterable[MultiRangeQuery]) -> List[float]:
         """Batch evaluation: all boxes against all leaves in one pass.
@@ -290,12 +215,12 @@ class QDigestSummary(Summary):
         :class:`~repro.structures.ranges.QueryPlan` (bounds stacking is
         memoized on the query objects and on the summary, so repeated
         batteries stop re-stacking).  Disjoint 1-D digests take the
-        sorted prefix-sum fast path (:meth:`_query_boxes_1d`); anything
-        else computes the ``(B, L)`` leaf-overlap volumes by
-        broadcasting, chunked over boxes to bound the intermediate
-        array.  Per-box contributions fold back onto queries with
-        ``add.reduceat`` (boxes of a multi-range query are disjoint, so
-        contributions add).
+        sorted prefix-sum path (:meth:`IntervalTable.leaf_range_sums`
+        over :meth:`interval_table`); anything else computes the
+        ``(B, L)`` leaf-overlap volumes by broadcasting, chunked over
+        boxes to bound the intermediate array.  Per-box contributions
+        fold back onto queries with ``add.reduceat`` (boxes of a
+        multi-range query are disjoint, so contributions add).
         """
         plan = battery_plans(self).fetch_plan(queries)
         if len(plan) == 0:
@@ -308,17 +233,11 @@ class QDigestSummary(Summary):
         if self.size == 0:
             return [0.0] * len(plan)
         bounds = plan.bounds
-        if self._dims == 1 and use_flat(self):
+        if self._dims == 1:
             table = self.interval_table()
             if table.leaves_disjoint():
                 return plan.reduce_boxes(
                     table.leaf_range_sums(bounds, self._partial)
-                ).tolist()
-        else:
-            sorted_1d = self._sorted_1d()
-            if sorted_1d is not None:
-                return plan.reduce_boxes(
-                    self._query_boxes_1d(bounds, sorted_1d)
                 ).tolist()
         n_boxes = bounds.shape[0]
         n_leaves = self._weights.shape[0]

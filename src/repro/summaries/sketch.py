@@ -39,6 +39,8 @@ from repro.summaries.base import (
     IncrementalSummary,
     Summary,
     battery_plans,
+    clamp_bounds,
+    clamp_box,
     coerce_batch,
 )
 
@@ -378,6 +380,9 @@ class DyadicSketchSummary(Summary, IncrementalSummary):
 
     def query(self, box: Box) -> float:
         """Range-sum estimate via canonical dyadic decomposition."""
+        box = clamp_box(box, self._bits)
+        if box is None:
+            return 0.0
         per_axis = [
             dyadic_decompose_interval(
                 box.lows[a], box.highs[a], self._bits[a]
@@ -425,7 +430,7 @@ class DyadicSketchSummary(Summary, IncrementalSummary):
                 f"dimensionality mismatch: sketch is {self._dims}-D, "
                 f"queries are {plan.dims}-D"
             )
-        bounds = plan.bounds
+        bounds, outside = clamp_bounds(plan.bounds, self._bits)
         per_box = np.zeros(bounds.shape[0], dtype=float)
         if self._dims == 1:
             self._accumulate_1d(bounds, np.arange(bounds.shape[0]), per_box)
@@ -437,6 +442,7 @@ class DyadicSketchSummary(Summary, IncrementalSummary):
             for start in range(0, bounds.shape[0], chunk):
                 stop = min(bounds.shape[0], start + chunk)
                 self._accumulate_2d(bounds[start:stop], start, per_box)
+        per_box[outside] = 0.0
         return plan.reduce_boxes(per_box).tolist()
 
     def _accumulate_1d(

@@ -21,7 +21,12 @@ import numpy as np
 
 from repro.core.types import Dataset
 from repro.structures.ranges import Box
-from repro.summaries.base import Summary, battery_plans
+from repro.summaries.base import (
+    Summary,
+    battery_plans,
+    clamp_bounds,
+    clamp_box,
+)
 
 #: Level code for the (constant) scaling function on an axis.
 SCALING_LEVEL = -1
@@ -348,7 +353,8 @@ class WaveletSummary(Summary):
 
     def query(self, box: Box) -> float:
         """Range-sum estimate from the retained coefficients."""
-        if self._c.shape[0] == 0:
+        box = clamp_box(box, self._bits)
+        if box is None or self._c.shape[0] == 0:
             return 0.0
         fx = _basis_interval_sums(
             self._lx, self._ix, box.lows[0], box.highs[0], self._bits[0]
@@ -416,11 +422,12 @@ class WaveletSummary(Summary):
             )
         if self._c.shape[0] == 0:
             return [0.0] * len(plan)
-        bounds = plan.bounds
+        bounds, outside = clamp_bounds(plan.bounds, self._bits)
         if self._dims == 1:
             per_box = self._query_boxes_1d(bounds)
         else:
             per_box = self._query_boxes_2d(bounds)
+        per_box[outside] = 0.0
         return plan.reduce_boxes(per_box).tolist()
 
     def _query_boxes_1d(self, bounds: np.ndarray) -> np.ndarray:

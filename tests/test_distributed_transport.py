@@ -8,6 +8,7 @@ on reply, unlink at stop) these tests pin down.
 """
 
 import glob
+import time
 
 import numpy as np
 import pytest
@@ -60,8 +61,6 @@ def start_shm(num_workers, **kwargs):
 def drain(transport, want, timeout=30.0):
     """Collect ``want`` replies or fail loudly."""
     replies = []
-    import time
-
     deadline = time.monotonic() + timeout
     while len(replies) < want and time.monotonic() < deadline:
         replies.extend(transport.poll(0.2))
@@ -205,6 +204,12 @@ class TestSharedMemoryTransport:
             0, codec.encode_message({"type": "ping", "pad": b"y" * 4096})
         )
         drain(transport, 1)
+        # No coordinator shutdown was sent: stop() shuts the worker
+        # down itself instead of waiting out its 5 s join timeout.
+        procs = list(transport._procs.values())
+        start = time.perf_counter()
         transport.stop()
+        assert time.perf_counter() - start < 2.0
+        assert not any(proc.is_alive() for proc in procs)
         transport.stop()
         assert transport._segments == {}

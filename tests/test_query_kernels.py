@@ -113,7 +113,8 @@ class TestPerMethodEquivalence:
         b = QDigestSummary(_dataset(rng, 1, size), 100)
         merged = a.merge(b)
         queries = _battery(rng, 1, size)
-        assert merged._sorted_1d() is None  # overlapping: dense path
+        # Overlapping leaves: the dense path answers.
+        assert not merged.interval_table().leaves_disjoint()
         assert merged.query_many(queries) == _reference(merged, queries)
 
     def test_wavelet_2d_sparse_straddle_kernel(self):
@@ -180,10 +181,10 @@ class TestPerMethodEquivalence:
                 err_msg=f"qdigest-stream seed {seed}",
             )
             # Mutating the tree invalidates the cached table.
-            table = digest._interval_table()
-            assert digest._interval_table() is table
+            table = digest.interval_table()
+            assert digest.interval_table() is table
             digest.insert(0, 1.0)
-            assert digest._interval_table() is not table
+            assert digest.interval_table() is not table
 
     def test_mismatched_dims_raise(self):
         rng = np.random.default_rng(0)

@@ -2,7 +2,8 @@
 
 ``len()``/``size`` consistency, iterator/len consistency of query
 objects, Sequence-agnostic ``query_many``/``batch_query_sums`` inputs,
-and the per-snapshot sort-order cache.
+the per-snapshot sort-order cache, and the out-of-domain clamp of the
+query contract.
 """
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 from repro.core.estimator import SampleSummary
 from repro.core.types import Dataset
 from repro.core.varopt import varopt_summary
+from repro.engine import registry
 from repro.structures.order import OrderedDomain
 from repro.structures.product import ProductDomain
 from repro.structures.ranges import (
@@ -171,3 +173,35 @@ class TestSortOrderCache:
         reference = [sample.query(q) for q in queries]
         assert first == pytest.approx(reference)
         assert second == pytest.approx(reference)
+
+
+class TestQueryContractClamp:
+    """Boxes past the domain edge answer as their in-domain part and
+    boxes wholly outside answer 0.0 (``Summary.query``), on the scalar
+    and batched paths of every registered method."""
+
+    @staticmethod
+    def _data():
+        rng = np.random.default_rng(0)
+        keys = rng.integers(0, 1024, 3000)
+        weights = 1.0 + rng.pareto(1.5, 3000)
+        return Dataset.one_dimensional(keys, weights, 1024)
+
+    @pytest.mark.parametrize("method", registry.available())
+    def test_out_of_domain_boxes_clamp(self, method):
+        data = self._data()
+        boxes = [
+            Box((-10,), (2000,)),  # straddles both edges
+            Box((0,), (1023,)),  # its in-domain part
+            Box((3000,), (4000,)),  # wholly outside
+        ]
+        exact = registry.build("exact", data, 100, None)
+        summary = registry.build(method, data, 100,
+                                 np.random.default_rng(0))
+        want = [exact.query(box) for box in boxes]
+        assert want[0] == pytest.approx(want[1], rel=1e-12)
+        assert want[2] == 0.0
+        for got in ([summary.query(box) for box in boxes],
+                    summary.query_many(boxes)):
+            assert got[0] == pytest.approx(got[1], rel=1e-12)
+            assert got[2] == want[2]

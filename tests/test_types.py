@@ -29,6 +29,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Dataset.one_dimensional([1], [-1.0], size=10)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_weights(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Dataset.one_dimensional([1, 2], [1.0, bad], size=8)
+
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError):
             Dataset(
