@@ -1,9 +1,10 @@
 """Before/after timings of the vectorized offline build kernels.
 
 Times the fig3a (network) and fig3b (tickets) build paths at one
-million items, once through the historical scalar pipeline
-(``strict_seed=True``) and once through the vectorized NumPy kernels
-(the default), and records both in ``BENCH_build.json``.  The
+million items, once through the historical scalar pipeline (the test
+oracles in ``tests/oracles/scalar_samplers.py``) and once through the
+library's vectorized NumPy kernels, and records both in
+``BENCH_build.json``.  The
 vectorized path must be at least 5x faster on every (dataset, method)
 cell; smoke mode shrinks the datasets and skips the speedup assertion
 (timings at toy sizes are dominated by fixed costs).
@@ -14,6 +15,8 @@ fig3b throughput figures are built from, at the paper-scale item
 count those figures target.
 """
 
+import pathlib
+import sys
 import time
 
 import numpy as np
@@ -23,6 +26,10 @@ from repro.core.varopt import stream_varopt_summary
 from repro.datagen.network import NetworkConfig, generate_network_flows
 from repro.datagen.tickets import TicketConfig, generate_tickets
 from repro.twopass.two_pass import two_pass_summary
+
+# The scalar "before" pipelines live with the test oracles.
+sys.path.append(str(pathlib.Path(__file__).resolve().parents[1] / "tests"))
+from oracles import scalar_samplers as oracle  # noqa: E402
 
 SIZE = 3000
 #: Builds per timing; smoke sizes are repeated so the recorded wall
@@ -41,22 +48,20 @@ if SMOKE:
     NETWORK = NetworkConfig(n_pairs=3_000, n_sources=1_000, n_dests=800)
     TICKETS = TicketConfig(n_combinations=3_000)
 
+#: (method, vectorized builder, scalar oracle builder).
 BUILDERS = (
-    ("obliv", stream_varopt_summary),
-    ("aware", two_pass_summary),
+    ("obliv", stream_varopt_summary, oracle.stream_varopt_summary),
+    ("aware", two_pass_summary, oracle.two_pass_summary),
 )
 
 
-def _timed(builder, data, strict_seed):
+def _timed(builder, data):
     """Best-of-``TRIALS`` total wall time of ``REPEATS`` seeded builds."""
     best = float("inf")
     for _trial in range(TRIALS):
         start = time.perf_counter()
         for repeat in range(REPEATS):
-            summary = builder(
-                data, SIZE, np.random.default_rng(17 + repeat),
-                strict_seed=strict_seed,
-            )
+            summary = builder(data, SIZE, np.random.default_rng(17 + repeat))
         best = min(best, time.perf_counter() - start)
     return summary, best
 
@@ -69,9 +74,9 @@ def test_build_kernels(results_dir):
     records = []
     lines = ["== Offline build kernels: scalar vs vectorized =="]
     for label, data in datasets:
-        for method, builder in BUILDERS:
-            before_summary, before = _timed(builder, data, strict_seed=True)
-            after_summary, after = _timed(builder, data, strict_seed=False)
+        for method, builder, scalar_builder in BUILDERS:
+            before_summary, before = _timed(scalar_builder, data)
+            after_summary, after = _timed(builder, data)
             # Both paths realize the same sampling distribution: the
             # thresholds agree (up to the float association of the
             # streaming vs offline fixpoint) and the realized sizes

@@ -1,11 +1,11 @@
 """Hierarchy-structure aware sampling (paper Section 3).
 
 Pair selection rule: always aggregate a pair with the *lowest* LCA.  We
-realize the rule with one bottom-up recursion over the hierarchy
-induced by the present keys: every node first lets its children resolve
-internally (each child subtree returns at most one fractional
-"leftover" key) and then pair-aggregates the child leftovers.  Pairs
-are therefore consumed in non-decreasing LCA depth -- exactly the rule.
+realize the rule bottom-up over the hierarchy induced by the present
+keys: every node first lets its children resolve internally (each child
+subtree leaves at most one fractional "leftover" key) and then
+pair-aggregates the child leftovers.  Pairs are therefore consumed in
+non-decreasing LCA depth -- exactly the rule.
 
 Consequence (paper Section 3): for every node ``v``, the mass under
 ``v`` is conserved until at most one fractional key remains below it,
@@ -16,66 +16,20 @@ an unbiased sample.
 
 from __future__ import annotations
 
-import sys
 from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.core.aggregation import (
-    aggregate_pool,
-    finalize_leftover,
-    included_indices,
-    is_set,
-)
+from repro.core.aggregation import finalize_leftover, included_indices
 from repro.core.chain import (
     chain_aggregate,
     run_starts,
     segmented_chain_aggregate,
 )
 from repro.core.estimator import SampleSummary
-from repro.core.ipps import ipps_probabilities
+from repro.core.ipps import check_sample_inputs, ipps_probabilities
 from repro.core.types import Dataset
 from repro.structures.hierarchy import RadixHierarchy
-
-
-def _aggregate_group(
-    p: np.ndarray,
-    indices: np.ndarray,
-    keys_sorted: np.ndarray,
-    hierarchy: RadixHierarchy,
-    depth: int,
-    rng: np.random.Generator,
-) -> Optional[int]:
-    """Resolve one induced-subtree group, returning its leftover index.
-
-    ``indices`` are positions into the original arrays; ``keys_sorted``
-    are their key values (sorted ascending).  ``depth`` is a depth at
-    which the whole group is known to share a node.
-    """
-    if indices.size == 0:
-        return None
-    if indices.size == 1:
-        idx = int(indices[0])
-        return None if is_set(float(p[idx])) else idx
-    # Contract unary chains: descend to the group's true LCA depth.
-    lca = hierarchy.lca_depth(int(keys_sorted[0]), int(keys_sorted[-1]))
-    depth = max(depth, lca)
-    if depth >= hierarchy.depth:
-        # All keys identical (duplicate leaves): aggregate arbitrarily.
-        return aggregate_pool(p, indices.tolist(), rng)
-    # Split into children at depth+1 (the group is sorted by key, so
-    # children are contiguous runs of equal node ids).
-    child_ids = hierarchy.node_of(keys_sorted, depth + 1)
-    boundaries = np.flatnonzero(np.diff(child_ids)) + 1
-    starts = np.concatenate(([0], boundaries, [indices.size]))
-    leftovers = []
-    for lo, hi in zip(starts[:-1], starts[1:]):
-        leftover = _aggregate_group(
-            p, indices[lo:hi], keys_sorted[lo:hi], hierarchy, depth + 1, rng
-        )
-        if leftover is not None:
-            leftovers.append(leftover)
-    return aggregate_pool(p, leftovers, rng)
 
 
 def aggregate_hierarchy_levels(
@@ -90,8 +44,7 @@ def aggregate_hierarchy_levels(
     Processes the hierarchy bottom-up: one segmented chain pass per
     level, grouping the surviving leftovers by their ancestor node at
     that level.  After the depth-``d`` pass every depth-``d`` node
-    holds at most one fractional key -- the same invariant the
-    recursive formulation maintains -- and pairs are consumed in
+    holds at most one fractional key, and pairs are consumed in
     non-increasing LCA depth, which is exactly the Section 3 rule.
     Levels where every group is a singleton are skipped (unary-chain
     contraction).  Returns the final leftover index, or ``None``.
@@ -119,18 +72,16 @@ def hierarchy_aware_sample(
     s: float,
     hierarchy: RadixHierarchy,
     rng: np.random.Generator,
-    strict_seed: bool = False,
 ) -> Tuple[np.ndarray, float, np.ndarray]:
     """VarOpt_s sample with node discrepancy < 1 on a hierarchy.
 
     Returns ``(included, tau, probs)`` like
-    :func:`repro.aware.order_sampler.order_aware_sample`.
-    ``strict_seed=True`` keeps the historical recursive aggregation
-    (and its exact RNG stream); the default resolves each hierarchy
-    level with one segmented chain pass.
+    :func:`repro.aware.order_sampler.order_aware_sample`.  Each
+    hierarchy level resolves with one segmented chain pass
+    (:func:`aggregate_hierarchy_levels`).
     """
     keys = np.asarray(keys)
-    weights = np.asarray(weights, dtype=float)
+    weights = check_sample_inputs(weights, s, keys.shape[0])
     if keys.size and (int(keys.min()) < 0 or int(keys.max()) >= hierarchy.num_leaves):
         raise ValueError("keys outside the hierarchy's leaf domain")
     p, tau = ipps_probabilities(weights, s)
@@ -139,19 +90,9 @@ def hierarchy_aware_sample(
     if fractional.size:
         order = np.argsort(keys[fractional], kind="stable")
         idx_sorted = fractional[order]
-        keys_sorted = keys[idx_sorted]
-        if strict_seed:
-            limit = sys.getrecursionlimit()
-            needed = hierarchy.depth + idx_sorted.size + 100
-            if needed > limit:
-                sys.setrecursionlimit(needed)
-            leftover = _aggregate_group(
-                p, idx_sorted, keys_sorted, hierarchy, 0, rng
-            )
-        else:
-            leftover = aggregate_hierarchy_levels(
-                p, idx_sorted, keys_sorted, hierarchy, rng
-            )
+        leftover = aggregate_hierarchy_levels(
+            p, idx_sorted, keys[idx_sorted], hierarchy, rng
+        )
         finalize_leftover(p, leftover, rng)
     return included_indices(p), tau, p_initial
 
@@ -161,13 +102,11 @@ def hierarchy_aware_summary(
     s: float,
     rng: np.random.Generator,
     axis: int = 0,
-    strict_seed: bool = False,
 ) -> SampleSummary:
     """Hierarchy-aware VarOpt summary of a dataset (1-D hierarchy axis)."""
     hierarchy = dataset.domain.hierarchy(axis)
     included, tau, _probs = hierarchy_aware_sample(
-        dataset.axis(axis), dataset.weights, s, hierarchy, rng,
-        strict_seed=strict_seed,
+        dataset.axis(axis), dataset.weights, s, hierarchy, rng
     )
     return SampleSummary(
         coords=dataset.coords[included],

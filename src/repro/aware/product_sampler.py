@@ -24,7 +24,7 @@ from repro.core.aggregation import (
 )
 from repro.core.chain import segmented_chain_aggregate
 from repro.core.estimator import SampleSummary
-from repro.core.ipps import ipps_probabilities
+from repro.core.ipps import check_sample_inputs, ipps_probabilities
 from repro.core.types import Dataset
 
 
@@ -37,12 +37,12 @@ def fold_kd_leftovers(
     """Bottom-up leftover aggregation over a kd-tree (shared walk).
 
     Post-order traversal with an explicit stack: every leaf is
-    resolved by ``leaf_leftover(leaf) -> Optional[int]`` at visit time
-    (so scalar leaf pools consume the generator in the historical walk
-    order), and every internal node pair-aggregates its children's
-    surviving leftovers.  Returns the final leftover index into ``p``
-    (or None).  The single walk behind :func:`_aggregate_kd`, the
-    batched variant and the two-pass final phase.
+    resolved by ``leaf_leftover(leaf) -> Optional[int]`` at visit time,
+    and every internal node pair-aggregates its children's surviving
+    leftovers.  Returns the final leftover index into ``p`` (or None).
+    The walk behind :func:`_aggregate_kd_batched`; the scalar oracles in
+    ``tests/oracles/scalar_samplers.py`` resolve their leaf pools
+    through it in the historical walk order.
     """
     stack = [(root, False)]
     leftover_of = {}
@@ -65,37 +65,19 @@ def fold_kd_leftovers(
     return leftover_of.pop(id(root), None)
 
 
-def _aggregate_kd(
-    node: KDNode,
-    p: np.ndarray,
-    index_map: np.ndarray,
-    rng: np.random.Generator,
-) -> Optional[int]:
-    """Scalar bottom-up aggregation: leaf pools resolve in walk order.
-
-    ``index_map`` translates the kd-tree's local point indices to
-    positions in the probability vector ``p``.
-    """
-    def leaf_leftover(leaf: KDNode) -> Optional[int]:
-        pool = [int(index_map[i]) for i in leaf.indices]
-        return aggregate_pool(p, pool, rng)
-
-    return fold_kd_leftovers(node, leaf_leftover, p, rng)
-
-
 def _aggregate_kd_batched(
     node: KDNode,
     p: np.ndarray,
     index_map: np.ndarray,
     rng: np.random.Generator,
 ) -> Optional[int]:
-    """Leaf-batched variant of :func:`_aggregate_kd`.
+    """Bottom-up kd aggregation with the leaf pools batched.
 
-    All leaf pools -- the O(n) bulk of the work -- resolve in one
-    segmented chain pass; the remaining bottom-up walk only
-    pair-aggregates the O(#nodes) per-child leftovers.  Same pair
-    structure (children resolve before parents), different RNG
-    consumption order than the scalar walk.
+    ``index_map`` translates the kd-tree's local point indices to
+    positions in the probability vector ``p``.  All leaf pools -- the
+    O(n) bulk of the work -- resolve in one segmented chain pass; the
+    remaining bottom-up walk only pair-aggregates the O(#nodes)
+    per-child leftovers (children resolve before parents).
     """
     leaves = kd_leaves(node)
     sizes = np.asarray([leaf.indices.size for leaf in leaves], dtype=np.int64)
@@ -119,18 +101,15 @@ def product_aware_sample(
     domain=None,
     leaf_mass: float = 1.0,
     split_rule: str = "median",
-    strict_seed: bool = False,
 ) -> Tuple[np.ndarray, float, np.ndarray]:
     """VarOpt_s sample of d-dimensional keys with box-aware aggregation.
 
     Returns ``(included, tau, probs)`` as in the 1-D aware samplers.
     ``leaf_mass`` and ``split_rule`` are forwarded to
     :func:`repro.aware.kd.build_kd_hierarchy` (exposed for ablations).
-    ``strict_seed=True`` keeps the historical scalar tree walk (and
-    its exact RNG stream).
     """
     coords = np.atleast_2d(np.asarray(coords))
-    weights = np.asarray(weights, dtype=float)
+    weights = check_sample_inputs(weights, s, coords.shape[0])
     p, tau = ipps_probabilities(weights, s)
     p_initial = p.copy()
     fractional = np.flatnonzero((p > 0.0) & (p < 1.0))
@@ -141,10 +120,8 @@ def product_aware_sample(
             domain=domain,
             leaf_mass=leaf_mass,
             split_rule=split_rule,
-            scalar=strict_seed,
         )
-        aggregate = _aggregate_kd if strict_seed else _aggregate_kd_batched
-        leftover = aggregate(tree, p, fractional, rng)
+        leftover = _aggregate_kd_batched(tree, p, fractional, rng)
         finalize_leftover(p, leftover, rng)
     return included_indices(p), tau, p_initial
 
@@ -155,7 +132,6 @@ def product_aware_summary(
     rng: np.random.Generator,
     leaf_mass: float = 1.0,
     split_rule: str = "median",
-    strict_seed: bool = False,
 ) -> SampleSummary:
     """Product-structure aware VarOpt summary of a dataset.
 
@@ -170,7 +146,6 @@ def product_aware_summary(
         domain=dataset.domain,
         leaf_mass=leaf_mass,
         split_rule=split_rule,
-        strict_seed=strict_seed,
     )
     return SampleSummary(
         coords=dataset.coords[included],

@@ -14,12 +14,46 @@ the threshold ``tau_s`` solves ``sum_i min(1, w_i / tau_s) = s``
 from __future__ import annotations
 
 import heapq
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 #: Relative tolerance used throughout when comparing probabilities to 0/1.
 PROB_EPS = 1e-12
+
+
+def check_weights(weights, n_keys: Optional[int] = None) -> np.ndarray:
+    """Validate a weight vector; return it as a float64 array.
+
+    Raises ``ValueError`` unless the weights are finite, non-negative
+    and (when ``n_keys`` is given) one per key.  :class:`Dataset
+    <repro.core.types.Dataset>` and :func:`check_sample_inputs` share
+    this check, so bad input fails with the same message everywhere.
+    """
+    w = np.asarray(weights, dtype=np.float64)
+    if n_keys is not None and w.shape[0] != n_keys:
+        raise ValueError("coords and weights must have matching length")
+    if not np.isfinite(w).all():
+        raise ValueError("weights must be finite")
+    if w.size and float(w.min()) < 0:
+        raise ValueError("weights must be non-negative")
+    return w
+
+
+def check_sample_inputs(
+    weights, s: float, n_keys: Optional[int] = None
+) -> np.ndarray:
+    """The input check of the array-level samplers.
+
+    :func:`check_weights` plus a finite, positive target size ``s``.
+    Returns the weights as a float64 array.
+    """
+    w = check_weights(weights, n_keys)
+    if not np.isfinite(s):
+        raise ValueError("sample size must be finite")
+    if s <= 0:
+        raise ValueError("sample size must be positive")
+    return w
 
 
 def ipps_threshold(weights: np.ndarray, s: float) -> float:

@@ -14,6 +14,7 @@ from typing import Iterable, Iterator, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.ipps import check_weights
 from repro.structures.product import ProductDomain, line_domain
 
 
@@ -47,14 +48,8 @@ class Dataset:
             coords = coords.T
         self.coords = np.ascontiguousarray(coords)
         self.weights = np.ascontiguousarray(
-            np.asarray(self.weights, dtype=np.float64)
+            check_weights(self.weights, self.coords.shape[0])
         )
-        if self.coords.shape[0] != self.weights.shape[0]:
-            raise ValueError("coords and weights must have matching length")
-        if not np.isfinite(self.weights).all():
-            raise ValueError("weights must be finite")
-        if self.weights.size and float(self.weights.min()) < 0:
-            raise ValueError("weights must be non-negative")
         self.domain.validate_coords(self.coords)
 
     @classmethod

@@ -42,6 +42,7 @@ segments do not).
 
 from __future__ import annotations
 
+import functools
 import struct
 import zlib
 from typing import Any, Tuple, Union
@@ -97,6 +98,36 @@ class VersionMismatchError(CodecError):
 
 class TruncatedPayloadError(CodecError):
     """The data ends before the structure it announces is complete."""
+
+
+class UnknownCodecTagError(CodecError, KeyError):
+    """The frame names a wire tag no summary class is registered under.
+
+    Also a ``KeyError``: the registry lookup miss it reports.
+    """
+
+
+def _total(decode):
+    """Make a frame decoder total: every failure is a :class:`CodecError`.
+
+    A malformed frame can trip far more than the reader's own checks --
+    NumPy on a garbled dtype string, UTF-8 decoding of a tag, or a
+    summary's ``from_state`` on a damaged state dict -- and callers
+    should need to catch only one exception type.  The original error
+    is chained as ``__cause__``.
+    """
+    @functools.wraps(decode)
+    def wrapper(data, *, copy: bool = True):
+        try:
+            return decode(data, copy=copy)
+        except CodecError:
+            raise
+        except Exception as exc:
+            raise CodecError(
+                f"malformed frame ({type(exc).__name__}: {exc})"
+            ) from exc
+
+    return wrapper
 
 
 # ----------------------------------------------------------------------
@@ -480,11 +511,13 @@ class _Reader:
         raise CodecError(f"unknown value tag {tag!r} at offset {self.pos - 1}")
 
 
+@_total
 def decode_value(data, *, copy: bool = True) -> Any:
     """Decode bytes produced by :func:`encode_value` (strict).
 
     ``copy=False`` returns raw arrays as read-only views into ``data``
-    -- the caller guarantees the buffer outlives them.
+    -- the caller guarantees the buffer outlives them.  Malformed input
+    raises :class:`CodecError`, whatever the defect.
     """
     reader = _Reader(data, copy=copy)
     value = reader.value()
@@ -530,15 +563,23 @@ def to_bytes(summary, *, compress: bool = True) -> bytes:
     ])
 
 
+@_total
 def from_bytes(data, *, copy: bool = True):
-    """Reconstruct a summary from a frame produced by :func:`to_bytes`."""
+    """Reconstruct a summary from a frame produced by :func:`to_bytes`.
+
+    Malformed frames raise :class:`CodecError` (an unregistered tag
+    :class:`UnknownCodecTagError`), whatever the defect.
+    """
     reader = _Reader(data, copy=copy)
     magic = reader.take(4)
     if magic != MAGIC:
         raise CodecError(f"bad frame magic {magic!r}")
     _check_version(reader.u8(), "frame")
     tag = reader.take(reader.u8()).decode("utf-8")
-    cls = registry.codec_class(tag)
+    try:
+        cls = registry.codec_class(tag)
+    except KeyError as exc:
+        raise UnknownCodecTagError(exc.args[0]) from None
     state = reader.value()
     if reader.pos != len(reader.data):
         raise CodecError(
@@ -602,11 +643,13 @@ def encode_message(message: dict, *, compress: bool = True) -> bytes:
     ])
 
 
+@_total
 def decode_message(data, *, copy: bool = True) -> dict:
     """Decode one control message frame.
 
     ``copy=False`` returns raw arrays as read-only views into ``data``
-    (see :func:`decode_value`).
+    (see :func:`decode_value`).  Malformed frames raise
+    :class:`CodecError`, whatever the defect.
     """
     reader = _Reader(data, copy=copy)
     magic = reader.take(4)

@@ -61,7 +61,6 @@ class KDPartition:
         guide_probs: np.ndarray,
         domain: Optional[ProductDomain] = None,
         split_rule: str = "median",
-        strict_seed: bool = False,
     ):
         guide_coords = np.atleast_2d(np.asarray(guide_coords))
         if guide_coords.shape[0] == 0:
@@ -72,7 +71,6 @@ class KDPartition:
             domain=domain,
             leaf_mass=1.0,
             split_rule=split_rule,
-            scalar=strict_seed,
         )
 
     def cell_of(self, key: Tuple[int, ...]) -> int:
@@ -207,8 +205,8 @@ class DisjointPartition:
             rows = np.asarray(coords)
             if rows.ndim == 1:
                 rows = rows.reshape(-1, 1)
-            # Native-int key tuples, exactly what the scalar path's
-            # Dataset.iter_items hands the labeler.
+            # Native-int key tuples, exactly what Dataset.iter_items
+            # yields (the keys a labeler sees through cell_of).
             values = np.asarray(
                 [
                     int(self._labeler(tuple(int(x) for x in row)))

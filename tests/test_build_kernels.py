@@ -3,8 +3,10 @@
 Kernels that consume no randomness (threshold scan, kd routing,
 partition cell codes, grid boundary counts, dataset normalization,
 sharding) must produce bit-identical results to their scalar
-formulations; this suite pins that down.  The RNG-consuming chain
-kernels are validated statistically in ``test_kernel_equivalence.py``.
+formulations; this suite pins that down (the kd build against the
+per-node recursion in ``oracles/scalar_samplers.py``).  The
+RNG-consuming chain kernels are validated statistically in
+``test_kernel_equivalence.py``.
 """
 
 import numpy as np
@@ -22,6 +24,7 @@ from repro.core.ipps import PROB_EPS, ipps_probabilities, ipps_threshold
 from repro.core.types import Dataset
 from repro.engine.shard import shard_dataset, shard_indices
 from repro.structures.hierarchy import BitHierarchy
+from repro.structures.order import OrderedDomain
 from repro.structures.product import ProductDomain, line_domain
 from repro.structures.ranges import Box
 from repro.twopass.partitions import (
@@ -30,6 +33,8 @@ from repro.twopass.partitions import (
     KDPartition,
     OrderPartition,
 )
+
+from oracles.scalar_samplers import build_kd_scalar
 
 
 def _ipps_threshold_scalar(weights, s):
@@ -107,6 +112,63 @@ class TestKDRouting:
         assert set(ids.tolist()) <= {
             leaf.cell_id for leaf in kd_leaves(tree)
         }
+
+
+def _preorder(root):
+    """Every node of a kd-tree, parents before children, left first."""
+    nodes, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        if not node.is_leaf:
+            stack.append(node.right)
+            stack.append(node.left)
+    return nodes
+
+
+class TestKDBuildParity:
+    """The level-synchronous kd build is bit-identical to the recursion.
+
+    The two-pass and product oracles rely on this: they call the
+    production builder and still reproduce the historical RNG stream.
+    """
+
+    @pytest.mark.parametrize("leaf_mass", [0.0, 1.0, 2.5])
+    @pytest.mark.parametrize("split_rule", ["median", "midpoint"])
+    @pytest.mark.parametrize("dims", [1, 2, 3])
+    def test_every_node_matches_scalar_recursion(
+        self, dims, split_rule, leaf_mass
+    ):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            # Small sides force duplicate points and constant axes.
+            side = int(rng.integers(2, 9))
+            n = int(rng.integers(1, 150))
+            coords = rng.integers(0, side, size=(n, dims))
+            masses = rng.random(n) * float(rng.choice([0.2, 1.0, 3.0]))
+            domain = ProductDomain([OrderedDomain(side)] * dims)
+            if split_rule == "median" and seed % 2:
+                domain = None  # the box-free build
+            args = (coords, masses, domain, leaf_mass, split_rule)
+            fast = _preorder(build_kd_hierarchy(*args))
+            ref = _preorder(build_kd_scalar(*args))
+            assert len(fast) == len(ref)
+            for a, b in zip(fast, ref):
+                assert a.is_leaf == b.is_leaf
+                assert (a.axis, a.split_value, a.cell_id) == (
+                    b.axis, b.split_value, b.cell_id
+                )
+                assert a.mass == b.mass  # bitwise, not approximately
+                if domain is None:
+                    assert a.box is None and b.box is None
+                else:
+                    assert (a.box.lows, a.box.highs) == (
+                        b.box.lows, b.box.highs
+                    )
+                if a.is_leaf:
+                    np.testing.assert_array_equal(a.indices, b.indices)
+                else:
+                    assert a.indices is None and b.indices is None
 
 
 class TestPartitionCellCodes:

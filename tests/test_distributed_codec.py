@@ -228,6 +228,8 @@ class TestSummaryFrames:
         ])
         with pytest.raises(KeyError, match="nope"):
             codec.from_bytes(frame)
+        with pytest.raises(codec.CodecError, match="nope"):
+            codec.from_bytes(frame)
 
     def test_unregistered_summary_rejected(self):
         class Mystery:
@@ -388,6 +390,86 @@ class TestMessageFrames:
         frame[4] = codec.WIRE_VERSION + 9
         with pytest.raises(codec.VersionMismatchError):
             codec.decode_message(bytes(frame))
+
+
+def _mutations(frame, count, seed):
+    """Seeded corruptions of one frame: bit flip, truncation, random byte."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        data = bytearray(frame)
+        pos = int(rng.integers(len(data)))
+        kind = i % 3
+        if kind == 0:
+            data[pos] ^= 1 << int(rng.integers(8))
+        elif kind == 1:
+            del data[pos:]
+        else:
+            data[pos] = int(rng.integers(256))
+        yield bytes(data)
+
+
+class TestDecoderTotality:
+    """Malformed frames raise CodecError -- never any other exception."""
+
+    MUTATIONS = 3000
+
+    @pytest.fixture(scope="class")
+    def dataset(self):
+        rng = np.random.default_rng(7)
+        return Dataset.one_dimensional(
+            rng.integers(0, 1024, size=3000),
+            1.0 + rng.pareto(1.2, size=3000),
+            1024,
+        )
+
+    @pytest.mark.parametrize("method", ["qdigest", "obliv"])
+    def test_summary_frames(self, dataset, method):
+        summary = registry.build(
+            method, dataset, 100, np.random.default_rng(0)
+        )
+        frame = codec.to_bytes(summary)
+        rejected = 0
+        for corrupt in _mutations(frame, self.MUTATIONS, seed=11):
+            try:
+                codec.from_bytes(corrupt)
+            except codec.CodecError:
+                rejected += 1
+        # Every truncation is caught, so most mutations must be.
+        assert rejected >= self.MUTATIONS // 3
+
+    def test_message_and_value_frames(self, dataset):
+        message = {
+            "type": "result",
+            "coords": dataset.coords,
+            "weights": dataset.weights,
+            "meta": {"name": "obliv", "sizes": (1, 2.5, None, True)},
+        }
+        frame = codec.encode_message(message)
+        for corrupt in _mutations(frame, self.MUTATIONS, seed=12):
+            try:
+                codec.decode_message(corrupt)
+            except codec.CodecError:
+                pass
+            try:
+                codec.decode_value(corrupt[5:])
+            except codec.CodecError:
+                pass
+
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            # Garbled dtype string, non-UTF-8 tag, damaged state dict.
+            codec.MAGIC + bytes([2, 6]) + b"sample"
+            + codec.encode_value({"coords": 1}),
+            codec.MAGIC + bytes([2, 2]) + b"\xff\xfe" + codec.encode_value({}),
+            codec.MAGIC + bytes([2, 6]) + b"sample"
+            + b"a" + bytes([3]) + b"<q(" + bytes([0]),
+        ],
+        ids=["bad-state", "bad-tag-utf8", "bad-dtype"],
+    )
+    def test_known_escapes_are_codec_errors(self, frame):
+        with pytest.raises(codec.CodecError):
+            codec.from_bytes(frame)
 
 
 class TestDomainSpecs:

@@ -5,12 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.aware.disjoint import disjoint_aware_sample
+from repro.aware.hierarchy_sampler import hierarchy_aware_sample
+from repro.aware.order_sampler import order_aware_sample
+from repro.aware.product_sampler import product_aware_sample
 from repro.core.ipps import (
     StreamingThreshold,
     heavy_key_mask,
     ipps_probabilities,
     ipps_threshold,
 )
+from repro.core.varopt import varopt_sample
+from repro.structures.hierarchy import BitHierarchy
 
 weight_lists = st.lists(
     st.floats(min_value=0.01, max_value=1e6, allow_nan=False),
@@ -139,3 +145,61 @@ class TestStreamingThreshold:
         stream.update_many(np.asarray(weights))
         offline = ipps_threshold(np.asarray(weights), s)
         assert stream.tau == pytest.approx(offline, rel=1e-6, abs=1e-12)
+
+
+
+def _call_sampler(name, n_keys, weights, s):
+    """Run one array-level sampler on ``n_keys`` keys."""
+    rng = np.random.default_rng(0)
+    keys = np.arange(n_keys)
+    if name == "varopt":
+        return varopt_sample(weights, s, rng)
+    if name == "order":
+        return order_aware_sample(keys, weights, s, rng)
+    if name == "disjoint":
+        return disjoint_aware_sample(keys // 2, weights, s, rng)
+    if name == "hierarchy":
+        return hierarchy_aware_sample(keys, weights, s, BitHierarchy(4), rng)
+    coords = np.stack((keys, keys[::-1]), axis=1)
+    return product_aware_sample(coords, weights, s, rng)
+
+
+SAMPLERS = ["varopt", "order", "disjoint", "hierarchy", "product"]
+BAD_INPUTS = {
+    "s-nan": (3, [1.0, 2.0, 3.0], float("nan"), "sample size must be finite"),
+    "s-inf": (3, [1.0, 2.0, 3.0], float("inf"), "sample size must be finite"),
+    "s-zero": (3, [1.0, 2.0, 3.0], 0, "sample size must be positive"),
+    "w-nan": (3, [1.0, float("nan"), 3.0], 2, "weights must be finite"),
+    "w-inf": (3, [1.0, float("inf"), 3.0], 2, "weights must be finite"),
+    "w-negative": (3, [1.0, -2.0, 3.0], 2, "weights must be non-negative"),
+    "length-mismatch": (
+        5, [1.0, 2.0, 3.0, 4.0], 2,
+        "coords and weights must have matching length",
+    ),
+}
+
+
+class TestSamplerInputCheck:
+    """The five array-level samplers reject what ``Dataset`` rejects."""
+
+    @pytest.mark.parametrize(
+        "name, case",
+        [
+            (name, case)
+            for name in SAMPLERS
+            for case in BAD_INPUTS
+            # varopt_sample takes weights only: no length to mismatch.
+            if not (name == "varopt" and case == "length-mismatch")
+        ],
+    )
+    def test_rejects_bad_input(self, name, case):
+        n_keys, weights, s, message = BAD_INPUTS[case]
+        with pytest.raises(ValueError, match=message):
+            _call_sampler(name, n_keys, np.asarray(weights), s)
+
+    @pytest.mark.parametrize("name", SAMPLERS)
+    def test_accepts_zero_weights(self, name):
+        weights = np.array([1.0, 0.0, 3.0, 2.0])
+        included, tau = _call_sampler(name, 4, weights, 2)[:2]
+        assert tau > 0 and 1 <= included.size <= 3
+        assert 1 not in included.tolist()

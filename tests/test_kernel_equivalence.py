@@ -1,10 +1,10 @@
-"""Statistical equivalence of the vectorized and scalar build paths.
+"""Statistical equivalence of the vectorized samplers and the scalar oracles.
 
 The chain kernels consume randomness in a different order than the
-historical scalar loops, so seeded runs diverge; what must hold is
-that both paths realize the *same sampling distribution*.  For every
-sampler with a ``strict_seed`` switch this suite checks, over >= 50
-seeds per path:
+historical scalar loops (kept in ``oracles/scalar_samplers.py``), so
+seeded runs diverge; what must hold is that both realize the *same
+sampling distribution*.  For every sampler with a scalar oracle this
+suite checks, over >= 50 seeds per path:
 
 * threshold agreement -- tau is RNG-free and must match per seed;
 * realized sample size -- floor/ceil of the target on every seed;
@@ -35,6 +35,8 @@ from repro.structures.hierarchy import BitHierarchy
 from repro.structures.product import ProductDomain
 from repro.twopass.two_pass import two_pass_summary
 
+from oracles import scalar_samplers as oracle
+
 SEEDS = range(60)
 N = 300
 S = 25
@@ -61,35 +63,41 @@ def payload():
 
 
 def _samplers(payload):
-    """Name -> callable(rng, strict) -> (included, tau)."""
+    """Name -> callable(rng, strict) -> (included, tau).
+
+    ``strict=True`` runs the scalar oracle, ``False`` the library.
+    """
     keys = payload["keys"]
     w = payload["weights"]
     h = payload["hierarchy"]
 
+    def pick(fn, strict):
+        return getattr(oracle, fn.__name__) if strict else fn
+
     def order(rng, strict):
-        inc, tau, _ = order_aware_sample(keys, w, S, rng, strict_seed=strict)
+        inc, tau, _ = pick(order_aware_sample, strict)(keys, w, S, rng)
         return inc, tau
 
     def disjoint(rng, strict):
-        inc, tau, _ = disjoint_aware_sample(
-            payload["labels"], w, S, rng, strict_seed=strict
+        inc, tau, _ = pick(disjoint_aware_sample, strict)(
+            payload["labels"], w, S, rng
         )
         return inc, tau
 
     def hierarchy(rng, strict):
-        inc, tau, _ = hierarchy_aware_sample(
-            keys, w, S, h, rng, strict_seed=strict
+        inc, tau, _ = pick(hierarchy_aware_sample, strict)(
+            keys, w, S, h, rng
         )
         return inc, tau
 
     def product(rng, strict):
-        inc, tau, _ = product_aware_sample(
-            payload["coords2"], w, S, rng, strict_seed=strict
+        inc, tau, _ = pick(product_aware_sample, strict)(
+            payload["coords2"], w, S, rng
         )
         return inc, tau
 
     def varopt(rng, strict):
-        return varopt_sample(w, S, rng, strict_seed=strict)
+        return pick(varopt_sample, strict)(w, S, rng)
 
     return {
         "order": order,
@@ -185,7 +193,7 @@ def test_structural_guarantees_vectorized(payload):
 
 
 def test_merge_strict_seed_escape_hatch():
-    """merge/downsample offer the historical scalar RNG stream too."""
+    """merge/downsample agree with their scalar oracles on tau and size."""
     rng = np.random.default_rng(5)
     datasets = [
         Dataset.one_dimensional(
@@ -208,13 +216,13 @@ def test_merge_strict_seed_escape_hatch():
     merged_v = summaries[0].merge(
         summaries[1], s=30, rng=np.random.default_rng(9)
     )
-    merged_s = summaries[0].merge(
-        summaries[1], s=30, rng=np.random.default_rng(9), strict_seed=True
+    merged_s = oracle.merge(
+        summaries[0], summaries[1], s=30, rng=np.random.default_rng(9)
     )
     assert merged_v.tau == merged_s.tau
     assert abs(merged_v.size - 30) <= 1 and abs(merged_s.size - 30) <= 1
     big = merged_v if merged_v.size >= merged_s.size else merged_s
-    down = big.downsample(10, np.random.default_rng(3), strict_seed=True)
+    down = oracle.downsample(big, 10, np.random.default_rng(3))
     assert abs(down.size - 10) <= 1
 
 
@@ -229,16 +237,15 @@ class TestDatasetBuilders:
         return Dataset.one_dimensional(keys, weights, size=50_000)
 
     @pytest.mark.parametrize(
-        "builder", [two_pass_summary, stream_varopt_summary]
+        "builder", [two_pass_summary, stream_varopt_summary],
+        ids=lambda fn: fn.__name__,
     )
     def test_tau_sizes_and_unbiased_totals(self, dataset, builder):
         totals = {True: [], False: []}
         for strict in (False, True):
+            build = getattr(oracle, builder.__name__) if strict else builder
             for seed in SEEDS:
-                summary = builder(
-                    dataset, 30, np.random.default_rng(seed),
-                    strict_seed=strict,
-                )
+                summary = build(dataset, 30, np.random.default_rng(seed))
                 assert np.isclose(
                     summary.tau,
                     ipps_probabilities(dataset.weights, 30)[1],

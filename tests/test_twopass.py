@@ -11,7 +11,6 @@ from repro.core.ipps import ipps_probabilities, ipps_threshold
 from repro.core.types import Dataset
 from repro.structures.hierarchy import BitHierarchy
 from repro.structures.product import ProductDomain, line_domain
-from repro.twopass.io_aggregate import IOAggregator
 from repro.twopass.partitions import (
     DisjointPartition,
     HierarchyAncestorPartition,
@@ -19,6 +18,9 @@ from repro.twopass.partitions import (
     OrderPartition,
 )
 from repro.twopass.two_pass import TwoPassSampler, two_pass_summary
+
+from oracles import scalar_samplers as oracle
+from oracles.scalar_samplers import IOAggregator
 
 
 class TestOrderPartition:
@@ -166,10 +168,10 @@ class TestTwoPassSampler:
         # 1-D ordered data: the two-pass sample keeps Delta < 2 w.h.p.;
         # we tolerate the rare guide-sample miss (a cell whose mass
         # exceeds one) by checking a high success rate rather than
-        # every seed.  Both the batched and the strict-seed scalar
-        # pipeline sit near 70% at these sizes; 40 deterministic seeds
-        # at a 65% bar keeps the check meaningful without pinning it
-        # to one RNG consumption order.
+        # every seed.  Both the batched pipeline and the scalar oracle
+        # (strict_seed=True) sit near 70% at these sizes; 40
+        # deterministic seeds at a 65% bar keeps the check meaningful
+        # without pinning it to one RNG consumption order.
         rng0 = np.random.default_rng(0)
         n = 400
         keys = rng0.choice(100_000, size=n, replace=False)
@@ -178,10 +180,9 @@ class TestTwoPassSampler:
         probs, tau = ipps_probabilities(weights, 30)
         ok = 0
         trials = 40
+        build = oracle.two_pass_summary if strict_seed else two_pass_summary
         for t in range(trials):
-            summary = two_pass_summary(
-                data, 30, np.random.default_rng(t), strict_seed=strict_seed
-            )
+            summary = build(data, 30, np.random.default_rng(t))
             sampled = set(map(tuple, summary.coords))
             mask = np.array([(k,) in sampled for k in keys])
             if max_interval_discrepancy(keys, probs, mask) < 2.0 + 1e-9:
