@@ -9,10 +9,11 @@ sweeps).  Both the cold first battery (plan + sort orders paid) and the
 steady-state repeat battery (everything cached) are recorded in
 ``BENCH_query.json``; sketch/wavelet/qdigest must clear 5x even cold.
 
-The second half times the :class:`~repro.distributed.frontend.
-QueryFrontend` serving the same battery one query at a time
-(``batch_size=1``) versus micro-batched (``submit``/``flush`` at
-``batch_size=256``, one kernel call per flush per method).
+The second half times :class:`~repro.distributed.frontend.QueryFrontend`
+serving the same battery one query at a time (``query``) versus a
+:class:`~repro.distributed.frontend.ServingFrontend` built with
+``start=False`` that micro-batches it (``submit``, with a ``flush``
+every 256 queries: one kernel call per flush per method).
 
 Smoke mode shrinks the domain and battery and repeats the timed loops
 so the records clear the regression gate's noise floor.
@@ -26,7 +27,7 @@ import numpy as np
 
 from conftest import SMOKE, emit, emit_json, perf_assert
 from repro.core.types import Dataset
-from repro.distributed.frontend import QueryFrontend
+from repro.distributed.frontend import QueryFrontend, ServingFrontend
 from repro.engine.registry import build
 from repro.structures.order import OrderedDomain
 from repro.structures.product import ProductDomain
@@ -204,10 +205,17 @@ def test_query_serving(results_dir):
         ref, off_time = _timed(
             lambda: [one_at_a_time.query(method, query) for query in queries]
         )
-        micro = QueryFrontend(supplier, batch_size=BATCH)
+        micro = ServingFrontend(
+            supplier, batch_size=BATCH, max_pending=BATCH,
+            tenant_share=1.0, start=False,
+        )
 
         def _serve_batched():
-            handles = [micro.submit(method, query) for query in queries]
+            handles = []
+            for index, query in enumerate(queries, 1):
+                handles.append(micro.submit(method, query))
+                if index % BATCH == 0:
+                    micro.flush()
             micro.flush()
             return [handle.result() for handle in handles]
 

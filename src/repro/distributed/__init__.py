@@ -27,8 +27,10 @@ Two serving-tier layers ride on those (see ``SERVING.md``):
   accounting (every synchronous coordinator call is a thin wrapper
   over it).
 * :class:`ServingFrontend` -- the long-lived multi-tenant query
-  service: concurrent ``submit()``, cross-supplier fan-out,
-  deadline + size flushing, admission control with shed-on-overload.
+  service and the one micro-batcher: concurrent ``submit()``,
+  cross-supplier fan-out, deadline + size flushing (or manual
+  ``flush()`` with ``start=False``), admission control with
+  shed-on-overload.
 """
 
 from repro.distributed.codec import (
@@ -51,11 +53,9 @@ from repro.distributed.coordinator import (
 from repro.distributed.dispatch import (
     AsyncDispatcher,
     Backpressure,
-    DispatchStats,
     ReplyFuture,
 )
 from repro.distributed.frontend import (
-    FrontendStats,
     OverloadError,
     QueryFrontend,
     ServedAnswer,
@@ -67,7 +67,6 @@ from repro.distributed.transport import (
     SharedMemoryTransport,
     TCPTransport,
     TransportError,
-    WireStats,
     make_transport,
     serve_worker,
 )
@@ -78,11 +77,9 @@ __all__ = [
     "Backpressure",
     "CodecError",
     "Coordinator",
-    "DispatchStats",
     "DistributedBuild",
     "DistributedError",
     "DistributedIngest",
-    "FrontendStats",
     "InProcessTransport",
     "MultiprocessingTransport",
     "OverloadError",
@@ -96,7 +93,6 @@ __all__ = [
     "TruncatedPayloadError",
     "VersionMismatchError",
     "WIRE_VERSION",
-    "WireStats",
     "WorkerRuntime",
     "decode_message",
     "distributed_build",

@@ -26,11 +26,11 @@ worker runtime answers reply-expecting frames in order, replies are
 matched to futures FIFO per worker.
 
 Wire accounting stays **exact under concurrency**: the dispatcher
-thread brackets every ``transport.send`` with a
-:class:`~repro.distributed.transport.WireStats` delta and stamps the
-request's share (``bytes_sent``/``shm_bytes``) onto its future, so
-concurrent operations can each sum their own futures instead of
-racing on before/after snapshots of the shared counters.
+thread brackets every ``transport.send`` with a delta of the
+transport's wire counters and stamps the request's share
+(``bytes_sent``/``shm_bytes``) onto its future, so concurrent
+operations can each sum their own futures instead of racing on
+before/after snapshots of the shared counters.
 
 Worker death fails that worker's queued and outstanding futures with
 :class:`~repro.distributed.transport.TransportError`; retry policy
@@ -52,7 +52,6 @@ from repro.distributed.transport import BaseTransport, TransportError
 __all__ = [
     "AsyncDispatcher",
     "Backpressure",
-    "DispatchStats",
     "ReplyFuture",
 ]
 
@@ -126,69 +125,16 @@ class ReplyFuture:
             self._cond.notify_all()
 
 
-class DispatchStats:
-    """Counters the dispatcher accumulates over its life.
-
-    Thread-safety contract: counters are written from *two* threads --
-    ``submitted``/``rejected``/``backpressure_waits``/
-    ``max_queue_depth`` by whichever caller thread runs ``submit()``,
-    ``dispatched``/``completed``/``orphans`` by the dispatcher thread,
-    and ``failed`` by either (``stop()`` on the caller, send failures
-    and death sweeps on the dispatcher).  A bare ``+= 1`` is a racy
-    read-modify-write across those threads, so every internal call
-    site goes through :meth:`inc`, which increments the field's
-    backing :class:`repro.obs.Counter` under its lock.  The historical
-    attribute reads (``stats.completed`` ...) and ``snapshot()`` are
-    unchanged; the same counters surface in a metrics registry under
-    ``dispatch.*`` via :meth:`obs_metrics`.
-    """
-
-    _FIELDS = (
-        "submitted", "dispatched", "completed", "failed",
-        "backpressure_waits", "rejected", "orphans", "max_queue_depth",
-    )
-
-    __slots__ = tuple("_" + field for field in _FIELDS) + ("__weakref__",)
-
-    def __init__(self):
-        for field in self._FIELDS:
-            setattr(self, "_" + field, _obs.Counter())
-
-    def inc(self, field: str, n: int = 1) -> None:
-        """Atomically bump one counter (safe from any thread)."""
-        getattr(self, "_" + field).inc(n)
-
-    def record_depth(self, depth: int) -> None:
-        """Raise the ``max_queue_depth`` high-water mark."""
-        counter = self._max_queue_depth
-        with counter._lock:
-            if depth > counter._value:
-                counter._value = depth
-
-    def snapshot(self) -> Dict[str, int]:
-        return {key: getattr(self, key) for key in self._FIELDS}
-
-    def obs_metrics(self):
-        """Registry collector hook: ``dispatch.<field>``."""
-        for field in self._FIELDS:
-            yield "dispatch." + field, {}, getattr(self, "_" + field)
-
-
-def _dispatch_stat(field: str):
-    slot = "_" + field
-
-    def _get(self):
-        return getattr(self, slot).value
-
-    def _set(self, value):
-        getattr(self, slot).set(value)
-
-    return property(_get, _set, doc=f"Total {field.replace('_', ' ')}.")
-
-
-for _field in DispatchStats._FIELDS:
-    setattr(DispatchStats, _field, _dispatch_stat(_field))
-del _field
+#: Dispatcher counters.  ``submitted``/``rejected``/
+#: ``backpressure_waits``/``max_queue_depth`` are written by whichever
+#: caller thread runs ``submit()``, ``dispatched``/``completed``/
+#: ``orphans`` by the dispatcher thread, and ``failed`` by either
+#: (``stop()`` on the caller, send failures and death sweeps on the
+#: dispatcher) -- hence a lock-safe :class:`repro.obs.CounterSet`.
+_DISPATCH_FIELDS = (
+    "submitted", "dispatched", "completed", "failed",
+    "backpressure_waits", "rejected", "orphans", "max_queue_depth",
+)
 
 
 class _Request:
@@ -256,7 +202,7 @@ class AsyncDispatcher:
         self._outstanding: Dict[int, deque] = {}
         self._alive = set(range(transport.num_workers))
         self._running = True
-        self.stats = DispatchStats()
+        self.stats = _obs.CounterSet("dispatch", None, _DISPATCH_FIELDS)
         self._obs = registry if registry is not None else _obs.get_registry()
         self._obs.attach(self.stats)
         self._obs_enabled = self._obs.enabled
@@ -360,7 +306,7 @@ class AsyncDispatcher:
             )
             self.stats.inc("submitted")
             depth = self._depth(worker_id)
-            self.stats.record_depth(depth)
+            self.stats.set_max("max_queue_depth", depth)
             if self._obs_enabled:
                 self._depth_gauge.set(depth)
             self._cond.notify_all()

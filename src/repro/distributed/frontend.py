@@ -30,16 +30,9 @@ the cached summary's raw arrays are read-only views into the received
 frame, which is safe here precisely because the cache never mutates a
 snapshot -- it only queries it.
 
-**Micro-batching.**  Query traffic usually arrives one query at a
-time; answering each alone forfeits the batched kernels.  With
-``batch_size > 1`` the frontend collects submitted queries
-(:meth:`QueryFrontend.submit` returns a :class:`PendingAnswer`
-immediately) and answers each method's accumulated battery with *one*
-``query_many`` kernel call per flush -- amortizing the query-plan
-compilation, the snapshot lookup and the cached sort orders across the
-batch.  A flush happens automatically when ``batch_size`` queries are
-pending, explicitly via :meth:`QueryFrontend.flush`, or lazily the
-first time a pending answer is read.
+Micro-batching single queries into batteries is the job of
+:class:`ServingFrontend`, which answers each flush with one
+:meth:`QueryFrontend.query_many` call per method and supplier.
 """
 
 from __future__ import annotations
@@ -47,7 +40,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict, deque
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro import obs as _obs
 from repro.structures.ranges import Box, QueryPlan, compile_query_plan
@@ -58,114 +51,21 @@ def _batch_bucket(size: int) -> int:
     return 1 << max(0, size - 1).bit_length() if size > 1 else size
 
 
-class FrontendStats:
-    """Cache/batch effectiveness counters (monitoring surface).
+#: Snapshot-cache counters of one :class:`QueryFrontend`
+#: (``serving.<field>{scope=frontend}``).
+_CACHE_FIELDS = ("hits", "misses", "evictions", "batteries", "queries")
 
-    ``batch_hist`` histograms flush sizes into power-of-two buckets
-    (bucket 8 counts flushes of 5..8 queries), so the telemetry stays
-    bounded no matter how the batch knob is tuned.  ``shed`` counts
-    submissions refused by admission control (always 0 for the plain
-    :class:`QueryFrontend`, which has no bounded queue).
-
-    Thread-safety contract: under a :class:`ServingFrontend` these
-    counters are written by tenant threads (``submitted``/``shed``)
-    *and* the flusher thread (``flushes``, the batch histogram), so a
-    bare ``+= 1`` would be a racy read-modify-write.  Every counter is
-    backed by a :class:`repro.obs.Counter` sharing one lock, mutated
-    through :meth:`inc` / :meth:`record_batch`; the dataclass-era
-    attribute reads and ``as_dict()`` shape are unchanged.  The same
-    counters surface in a metrics registry as ``serving.<field>``
-    (labelled by ``scope``) via :meth:`obs_metrics`.
-    """
-
-    _FIELDS = (
-        "hits", "misses", "evictions", "batteries", "queries",
-        "submitted", "flushes", "shed",
-    )
-
-    __slots__ = tuple("_" + name for name in _FIELDS) + (
-        "_lock", "batch_hist", "scope", "__weakref__",
-    )
-
-    def __init__(self, scope: str = "frontend"):
-        self._lock = threading.Lock()
-        self.scope = scope
-        self.batch_hist: Dict[int, int] = {}
-        for name in self._FIELDS:
-            setattr(self, "_" + name, _obs.Counter(self._lock))
-
-    def inc(self, name: str, n: int = 1) -> None:
-        """Atomically bump one counter (safe from any thread)."""
-        getattr(self, "_" + name).inc(n)
-
-    def record_batch(self, size: int) -> None:
-        bucket = _batch_bucket(size)
-        with self._lock:
-            self.batch_hist[bucket] = self.batch_hist.get(bucket, 0) + 1
-
-    def as_dict(self) -> Dict[str, object]:
-        out: Dict[str, object] = {
-            name: getattr(self, "_" + name).value for name in self._FIELDS
-        }
-        with self._lock:
-            out["batch_hist"] = dict(sorted(self.batch_hist.items()))
-        return out
-
-    def obs_metrics(self):
-        """Registry collector hook: ``serving.<field>{scope=...}``."""
-        labels = {"scope": self.scope}
-        for name in self._FIELDS:
-            yield "serving." + name, labels, getattr(self, "_" + name)
-
-
-def _frontend_stat(name: str):
-    slot = "_" + name
-
-    def _get(self):
-        return getattr(self, slot).value
-
-    def _set(self, value):
-        getattr(self, slot).set(value)
-
-    return property(_get, _set, doc=f"Total {name}.")
-
-
-for _name in FrontendStats._FIELDS:
-    setattr(FrontendStats, _name, _frontend_stat(_name))
-del _name
-
-
-class PendingAnswer:
-    """Handle for a micro-batched query (resolved at the next flush)."""
-
-    __slots__ = ("_frontend", "_value", "_error")
-
-    def __init__(self, frontend: "QueryFrontend"):
-        self._frontend = frontend
-        self._value: Optional[float] = None
-        self._error: Optional[BaseException] = None
-
-    @property
-    def ready(self) -> bool:
-        """Whether the answer (or its failure) has been computed."""
-        return self._value is not None or self._error is not None
-
-    def result(self) -> float:
-        """The answer, flushing the frontend's pending batch if needed.
-
-        Re-raises the kernel's exception when this query's flush group
-        failed (e.g. a dimensionality mismatch).
-        """
-        if not self.ready:
-            try:
-                self._frontend.flush()
-            except Exception:
-                pass  # the failure is recorded on the affected handles
-        if self._error is not None:
-            raise self._error
-        if self._value is None:  # pragma: no cover - internal invariant
-            raise RuntimeError("flush did not resolve this query")
-        return self._value
+#: Serving counters of one :class:`ServingFrontend`
+#: (``serving.<field>{scope=serving}``).  ``shed`` counts refused
+#: submissions, ``shed_tenant`` the fair-share part of them;
+#: ``fallbacks`` counts method groups whose batched call failed and were
+#: answered one query at a time, ``failed`` the queries resolved with an
+#: error.
+_SERVING_FIELDS = (
+    "submitted", "flushes", "shed", "flushes_size", "flushes_deadline",
+    "flushes_forced", "shed_tenant", "max_queue_depth", "fallbacks",
+    "failed",
+)
 
 
 def _supplier_version(supplier) -> int:
@@ -192,24 +92,17 @@ class QueryFrontend:
         state changes.
     slots:
         Maximum ``(method, version)`` snapshot entries retained.
-    batch_size:
-        Micro-batching knob: :meth:`submit` collects up to this many
-        queries before answering them all with one kernel call per
-        method.  The default of 1 answers every submission
-        immediately (one-at-a-time serving).
     """
 
-    def __init__(self, supplier, *, slots: int = 8, batch_size: int = 1):
+    def __init__(self, supplier, *, slots: int = 8):
         if slots < 1:
             raise ValueError("need at least one cache slot")
-        if batch_size < 1:
-            raise ValueError("batch size must be >= 1")
         self._supplier = supplier
         self._slots = int(slots)
-        self._batch_size = int(batch_size)
-        self._pending: List[Tuple[str, object, PendingAnswer]] = []
         self._cache: "OrderedDict[tuple, object]" = OrderedDict()
-        self.stats = FrontendStats()
+        self.stats = _obs.CounterSet(
+            "serving", {"scope": "frontend"}, _CACHE_FIELDS
+        )
         _obs.get_registry().attach(self.stats)
 
     # ------------------------------------------------------------------
@@ -282,83 +175,6 @@ class QueryFrontend:
             method: self.query_many(method, plan) for method in methods
         }
 
-    # ------------------------------------------------------------------
-    # Micro-batched serving
-    # ------------------------------------------------------------------
-    def submit(self, method: str, query) -> PendingAnswer:
-        """Enqueue one query for micro-batched answering.
-
-        Returns a :class:`PendingAnswer` immediately; the answer is
-        computed when ``batch_size`` queries are pending (automatic
-        flush), on an explicit :meth:`flush`, or lazily when the
-        handle's :meth:`~PendingAnswer.result` is first read.  Answers
-        match one-at-a-time :meth:`query` calls against the same
-        supplier version up to the batched kernels' floating-point
-        summation order (<= 1e-9 relative; bit-identical for kernels
-        that share the scalar path's float semantics) -- micro-batching
-        changes the kernel granularity, not the estimator.
-        """
-        handle = PendingAnswer(self)
-        self._pending.append((method, query, handle))
-        self.stats.inc("submitted")
-        if len(self._pending) >= self._batch_size:
-            try:
-                self.flush()
-            except Exception:
-                # A neighboring group's kernel failure is recorded on
-                # that group's handles (their result() re-raises it);
-                # this caller still gets its own handle back.
-                pass
-        return handle
-
-    def flush(self) -> int:
-        """Answer every pending query with one kernel call per method.
-
-        Returns the number of queries resolved.  Pending queries are
-        grouped by method (submission order preserved within a group)
-        and each group is answered by a single ``query_many`` against
-        the method's cached snapshot.  When a group's kernel call
-        fails, the group falls back to per-query answering so one
-        malformed query cannot poison its co-batched neighbors: only
-        the actually-failing queries carry the error (their
-        ``result()`` re-raises it).  The first such failure is then
-        re-raised here; auto-flushes from :meth:`submit` swallow it.
-        """
-        if not self._pending:
-            return 0
-        pending, self._pending = self._pending, []
-        by_method: "OrderedDict[str, List[Tuple[object, PendingAnswer]]]" = (
-            OrderedDict()
-        )
-        for method, query, handle in pending:
-            by_method.setdefault(method, []).append((query, handle))
-        first_error: Optional[Exception] = None
-        for method, entries in by_method.items():
-            try:
-                answers = self.query_many(method, [q for q, _h in entries])
-            except Exception:
-                # Fault isolation: answer the group one query at a
-                # time (still through the batched kernel, so the
-                # validation semantics stay identical), pinning errors
-                # only on the queries that fail.
-                for query, handle in entries:
-                    try:
-                        handle._value = float(
-                            self.query_many(method, [query])[0]
-                        )
-                    except Exception as error:
-                        handle._error = error
-                        if first_error is None:
-                            first_error = error
-                continue
-            for (_query, handle), answer in zip(entries, answers):
-                handle._value = float(answer)
-        self.stats.inc("flushes")
-        self.stats.record_batch(len(pending))
-        if first_error is not None:
-            raise first_error
-        return len(pending)
-
 
 # ----------------------------------------------------------------------
 # Long-lived serving: concurrent submit, deadline flush, admission control
@@ -428,12 +244,16 @@ class _QueueEntry:
 class ServingFrontend:
     """Long-lived multi-tenant serving over one or more snapshot suppliers.
 
-    Where :class:`QueryFrontend` micro-batches within a single caller,
-    this is the *service* shape: many tenants call :meth:`submit`
+    The library's one micro-batcher: many tenants call :meth:`submit`
     concurrently from their own threads, and one background flusher
     thread answers the accumulated cross-tenant batch with the batched
-    kernels -- so the amortization that PR 5 demonstrated closed-loop
-    becomes reachable under live concurrent traffic.
+    kernels, so live single-query traffic still pays per-battery, not
+    per-query, kernel costs.  A single caller that batches its own
+    queries builds the frontend with ``start=False`` and calls
+    :meth:`flush` itself (no thread, no deadline).  Batching changes
+    the kernel granularity, not the estimator: answers match
+    one-at-a-time :meth:`QueryFrontend.query` calls up to the batched
+    kernels' floating-point summation order (<= 1e-9 relative).
 
     * **Cross-supplier fan-out**: with several suppliers the battery
       is compiled once, answered by every supplier's cached snapshot,
@@ -463,6 +283,12 @@ class ServingFrontend:
     any attached metrics registry.  Latencies are recorded once per
     flush via the histogram's vectorized ``observe_many``, so the
     accounting costs per-batch, not per-query, work.
+
+    ``stats()`` and the registry (``serving.<field>{scope=serving}``)
+    count submissions, sheds, flushes by reason, the queue-depth
+    high-water mark, ``fallbacks`` (method groups answered one query at
+    a time after their batched call failed) and ``failed`` (queries
+    resolved with an error).
 
     ``registry`` (default: the process-global one) additionally gates
     the pay-for-what-you-use extras: flush spans, the
@@ -504,12 +330,12 @@ class ServingFrontend:
         self._queue: "deque[_QueueEntry]" = deque()
         self._tenant_pending: Dict[str, int] = {}
         self._flush_lock = threading.Lock()
-        self._stats = FrontendStats(scope="serving")
-        self._flushes_size = _obs.Counter()
-        self._flushes_deadline = _obs.Counter()
-        self._flushes_forced = _obs.Counter()
-        self._shed_tenant = _obs.Counter()
-        self._max_queue_depth = 0  # guarded by self._cond
+        self._stats = _obs.CounterSet(
+            "serving", {"scope": "serving"}, _SERVING_FIELDS
+        )
+        #: Flush sizes in power-of-two buckets (bucket 8 counts flushes
+        #: of 5..8 queries); written and read under ``_flush_lock``.
+        self._batch_hist: Dict[int, int] = {}
         # Always-on per-tenant accounting (keys appear on first use;
         # mutation under self._cond for the counters created in
         # submit(), the histograms are internally locked).
@@ -535,7 +361,7 @@ class ServingFrontend:
         return metric
 
     def obs_metrics(self):
-        """Registry collector hook: per-tenant + flush-reason metrics."""
+        """Registry collector hook: per-tenant metrics."""
         with self._cond:
             served = list(self._tenant_served.items())
             shed = list(self._tenant_shed.items())
@@ -546,10 +372,6 @@ class ServingFrontend:
             yield "serving.tenant_shed", {"tenant": tenant}, counter
         for tenant, hist in lat:
             yield "serving.tenant_latency_seconds", {"tenant": tenant}, hist
-        yield "serving.flushes_size", {}, self._flushes_size
-        yield "serving.flushes_deadline", {}, self._flushes_deadline
-        yield "serving.flushes_forced", {}, self._flushes_forced
-        yield "serving.shed_tenant", {}, self._shed_tenant
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -601,7 +423,7 @@ class ServingFrontend:
                 )
             if self._tenant_pending.get(tenant, 0) >= self._tenant_cap:
                 self._stats.inc("shed")
-                self._shed_tenant.inc()
+                self._stats.inc("shed_tenant")
                 self._tenant(self._tenant_shed, tenant, _obs.Counter).inc()
                 raise OverloadError(
                     f"tenant {tenant!r} over its fair share "
@@ -616,8 +438,8 @@ class ServingFrontend:
             )
             self._stats.inc("submitted")
             depth = len(self._queue)
-            if depth > self._max_queue_depth:
-                self._max_queue_depth = depth
+            if depth > self._stats.max_queue_depth:
+                self._stats.set_max("max_queue_depth", depth)
             if self._obs_enabled:
                 self._queue_gauge.set(depth)
             # Wake the flusher when the batch is full -- and on the
@@ -662,7 +484,7 @@ class ServingFrontend:
             batch = self._take_locked(None)
         if not batch:
             return 0
-        self._flushes_forced.inc()
+        self._stats.inc("flushes_forced")
         self._answer(batch)
         return len(batch)
 
@@ -688,10 +510,9 @@ class ServingFrontend:
                 else:
                     self._cond.wait(0.05)
                     continue
-            if size_flush:
-                self._flushes_size.inc()
-            else:
-                self._flushes_deadline.inc()
+            self._stats.inc(
+                "flushes_size" if size_flush else "flushes_deadline"
+            )
             self._answer(batch)
 
     def _answer(self, batch: List[_QueueEntry]) -> None:
@@ -708,7 +529,10 @@ class ServingFrontend:
                 for entry in batch:
                     by_method.setdefault(entry.method, []).append(entry)
                 self._stats.inc("flushes")
-                self._stats.record_batch(len(batch))
+                bucket = _batch_bucket(len(batch))
+                self._batch_hist[bucket] = (
+                    self._batch_hist.get(bucket, 0) + 1
+                )
                 if self._obs_enabled:
                     self._batch_size_hist.observe(len(batch))
                 for method, entries in by_method.items():
@@ -726,6 +550,7 @@ class ServingFrontend:
                             for backend in self._backends
                         ]
                     except Exception:
+                        self._stats.inc("fallbacks")
                         self._answer_singly(method, entries)
                         continue
                     for entry, values in zip(entries, zip(*per_backend)):
@@ -762,6 +587,7 @@ class ServingFrontend:
 
     def _answer_singly(self, method: str, entries: List[_QueueEntry]) -> None:
         """Fault isolation: pin errors on the queries that actually fail."""
+        failed = 0
         for entry in entries:
             try:
                 total = 0.0
@@ -769,8 +595,11 @@ class ServingFrontend:
                     total += float(backend.query_many(method, [entry.query])[0])
             except Exception as error:
                 entry.answer._fail(error)
+                failed += 1
             else:
                 entry.answer._resolve(total)
+        if failed:
+            self._stats.inc("failed", failed)
 
     # ------------------------------------------------------------------
     # Telemetry
@@ -778,30 +607,26 @@ class ServingFrontend:
     def stats(self) -> Dict[str, object]:
         """Merged serving + per-backend cache telemetry, one flat dict.
 
-        Cache counters (hits/misses/evictions) are summed across the
-        per-supplier frontends; serving counters (submitted, sheds,
-        flush reasons, batch histogram, queue depths) come from this
-        service's own lifetime.  ``tenants`` maps every tenant seen so
-        far to its served/shed counts, shed ratio and latency
-        percentiles (power-of-two bucket upper bounds, milliseconds)
-        -- the per-tenant accounting the admission-control counters
-        only hinted at.
+        Cache counters (hits/misses/evictions/batteries/queries) are
+        summed across the per-supplier frontends; serving counters
+        (submitted, sheds, flush reasons, fallbacks, failed queries,
+        batch histogram, queue depths) come from this service's own
+        lifetime.  ``tenants`` maps every tenant seen so far to its
+        served/shed counts, shed ratio and latency percentiles
+        (power-of-two bucket upper bounds, milliseconds) -- the
+        per-tenant accounting the admission-control counters only
+        hinted at.
         """
-        merged = self._stats.as_dict()
-        for key in ("hits", "misses", "evictions", "batteries", "queries"):
+        merged: Dict[str, object] = self._stats.snapshot()
+        with self._flush_lock:
+            merged["batch_hist"] = dict(sorted(self._batch_hist.items()))
+        for key in _CACHE_FIELDS:
             merged[key] = sum(
                 getattr(backend.stats, key) for backend in self._backends
             )
+        merged["suppliers"] = len(self._backends)
         with self._cond:
-            merged.update({
-                "suppliers": len(self._backends),
-                "flushes_size": self._flushes_size.value,
-                "flushes_deadline": self._flushes_deadline.value,
-                "flushes_forced": self._flushes_forced.value,
-                "shed_tenant": self._shed_tenant.value,
-                "max_queue_depth": self._max_queue_depth,
-                "pending": len(self._queue),
-            })
+            merged["pending"] = len(self._queue)
             tenants = sorted(
                 set(self._tenant_served) | set(self._tenant_shed)
             )

@@ -21,9 +21,10 @@ only in where the worker runs:
   segments and only a tiny ``(name, length)`` descriptor crosses the
   pipe: shard shipping is one mapped write instead of a pipe copy.
 
-Every transport tallies a :class:`WireStats` (frames/bytes in each
-direction, shared-memory bytes moved out-of-band), which is how the
-benchmarks account ``bytes_on_wire`` per mode.
+Every transport tallies its ``stats`` counter set (frames/bytes in
+each direction, shared-memory bytes moved out-of-band; registry names
+``wire.<field>{transport=...}``), which is how the benchmarks account
+``bytes_on_wire`` per mode.
 
 Failure model: a worker that dies (process exit, closed pipe, reset
 socket) is reported dead by :meth:`BaseTransport.alive`; frames it
@@ -65,65 +66,17 @@ class TransportError(RuntimeError):
     """The transport cannot deliver frames (dead worker, closed pipe)."""
 
 
-class WireStats:
-    """Byte/frame counters one transport accumulates over its life.
-
-    ``bytes_sent``/``bytes_received`` count what actually crossed the
-    serialized channel (pipe, socket, or inline call); frames routed
-    through shared memory count their descriptor there and their
-    payload under ``shm_bytes`` -- the whole point of that transport
-    is that the payload never crosses the pipe.
-
-    Storage is a :class:`repro.obs.Counter` per field, so the same
-    numbers surface in a :class:`~repro.obs.MetricsRegistry` snapshot
-    (``wire.*`` namespace, labelled by transport) while the historical
-    attribute reads / ``+=`` writes keep working unchanged.  Thread
-    safety: all writes come from the single dispatcher selector thread
-    (the transport ownership contract above); cross-thread *reads* --
-    the dispatcher stamping per-future deltas, benchmarks snapshotting
-    -- see each counter atomically.
-    """
-
-    _FIELDS = (
-        "frames_sent", "bytes_sent", "frames_received", "bytes_received",
-        "shm_frames", "shm_bytes",
-    )
-
-    __slots__ = tuple("_" + field for field in _FIELDS) + (
-        "transport_name", "__weakref__",
-    )
-
-    def __init__(self, transport_name: str = "?"):
-        self.transport_name = transport_name
-        for field in self._FIELDS:
-            setattr(self, "_" + field, _obs.Counter())
-
-    def snapshot(self) -> Dict[str, int]:
-        """The counters as a plain dict (benchmark records)."""
-        return {key: getattr(self, key) for key in self._FIELDS}
-
-    def obs_metrics(self):
-        """Registry collector hook: ``wire.<field>{transport=...}``."""
-        labels = {"transport": self.transport_name}
-        for field in self._FIELDS:
-            yield "wire." + field, labels, getattr(self, "_" + field)
-
-
-def _wire_stat(field: str):
-    slot = "_" + field
-
-    def _get(self):
-        return getattr(self, slot).value
-
-    def _set(self, value):
-        getattr(self, slot).set(value)
-
-    return property(_get, _set, doc=f"Total {field.replace('_', ' ')}.")
-
-
-for _field in WireStats._FIELDS:
-    setattr(WireStats, _field, _wire_stat(_field))
-del _field
+#: Per-transport wire counters.  ``bytes_sent``/``bytes_received``
+#: count what actually crossed the serialized channel (pipe, socket, or
+#: inline call); frames routed through shared memory count their
+#: descriptor there and their payload under ``shm_bytes`` -- the whole
+#: point of that transport is that the payload never crosses the pipe.
+#: All writes come from the single dispatcher selector thread (the
+#: ownership contract above).
+_WIRE_FIELDS = (
+    "frames_sent", "bytes_sent", "frames_received", "bytes_received",
+    "shm_frames", "shm_bytes",
+)
 
 
 class BaseTransport:
@@ -137,7 +90,9 @@ class BaseTransport:
     zero_copy = False
 
     def __init__(self):
-        self.stats = WireStats(self.name)
+        self.stats = _obs.CounterSet(
+            "wire", {"transport": self.name}, _WIRE_FIELDS
+        )
         _obs.get_registry().attach(self.stats)
 
     def start(self, num_workers: int) -> None:
@@ -231,8 +186,8 @@ class InProcessTransport(BaseTransport):
     ) -> None:
         if worker_id in self._dead:
             raise TransportError(f"worker {worker_id} is dead")
-        self.stats.frames_sent += 1
-        self.stats.bytes_sent += len(frame)
+        self.stats.inc("frames_sent")
+        self.stats.inc("bytes_sent", len(frame))
         try:
             reply = self._handlers[worker_id](frame)
         except TransportError:
@@ -244,8 +199,8 @@ class InProcessTransport(BaseTransport):
             self._dead.add(worker_id)
             return
         if reply is not None:
-            self.stats.frames_received += 1
-            self.stats.bytes_received += len(reply)
+            self.stats.inc("frames_received")
+            self.stats.inc("bytes_received", len(reply))
             self._inbox.append((worker_id, reply))
 
     def poll(self, timeout: Optional[float]) -> List[Tuple[int, bytes]]:
@@ -332,8 +287,8 @@ class MultiprocessingTransport(BaseTransport):
             raise TransportError(
                 f"worker {worker_id} pipe broken: {exc}"
             ) from exc
-        self.stats.frames_sent += 1
-        self.stats.bytes_sent += len(frame)
+        self.stats.inc("frames_sent")
+        self.stats.inc("bytes_sent", len(frame))
 
     def poll(self, timeout: Optional[float]) -> List[Tuple[int, bytes]]:
         conns = {
@@ -354,8 +309,8 @@ class MultiprocessingTransport(BaseTransport):
             except (EOFError, OSError):
                 self._dead.add(worker_id)
         for _worker_id, frame in frames:
-            self.stats.frames_received += 1
-            self.stats.bytes_received += len(frame)
+            self.stats.inc("frames_received")
+            self.stats.inc("bytes_received", len(frame))
         return frames
 
     def alive(self, worker_id: int) -> bool:
@@ -595,10 +550,10 @@ class SharedMemoryTransport(MultiprocessingTransport):
                 f"worker {worker_id} pipe broken: {exc}"
             ) from exc
         queue.append(segment)
-        self.stats.frames_sent += 1
-        self.stats.bytes_sent += len(descriptor)
-        self.stats.shm_frames += 1
-        self.stats.shm_bytes += len(frame)
+        self.stats.inc("frames_sent")
+        self.stats.inc("bytes_sent", len(descriptor))
+        self.stats.inc("shm_frames")
+        self.stats.inc("shm_bytes", len(frame))
 
     def poll(self, timeout: Optional[float]) -> List[Tuple[int, bytes]]:
         replies = super().poll(timeout)
@@ -760,8 +715,8 @@ class TCPTransport(BaseTransport):
             raise TransportError(
                 f"worker {worker_id} socket broken: {exc}"
             ) from exc
-        self.stats.frames_sent += 1
-        self.stats.bytes_sent += len(frame) + _LEN.size
+        self.stats.inc("frames_sent")
+        self.stats.inc("bytes_sent", len(frame) + _LEN.size)
 
     def poll(self, timeout: Optional[float]) -> List[Tuple[int, bytes]]:
         socks = {
@@ -780,8 +735,8 @@ class TCPTransport(BaseTransport):
             except (EOFError, OSError, TransportError):
                 self._dead.add(worker_id)
         for _worker_id, frame in frames:
-            self.stats.frames_received += 1
-            self.stats.bytes_received += len(frame) + _LEN.size
+            self.stats.inc("frames_received")
+            self.stats.inc("bytes_received", len(frame) + _LEN.size)
         return frames
 
     def alive(self, worker_id: int) -> bool:

@@ -53,7 +53,7 @@ class FaultyTransport(BaseTransport):
         drop_sends: Optional[Dict[int, Iterable[int]]] = None,
     ):
         # No super().__init__(): the wrapper shares the inner
-        # transport's WireStats rather than attaching a second one.
+        # transport's wire counters rather than attaching a second set.
         self._inner = make_transport(inner)
         self.stats = self._inner.stats
         self.name = f"faulty({self._inner.name})"

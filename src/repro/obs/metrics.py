@@ -1,9 +1,9 @@
 """Low-overhead metrics: counters, gauges, log-bucket histograms, registry.
 
-Every component in the serving stack used to grow its own hand-rolled
-stats object (``WireStats``, ``DispatchStats``, ``FrontendStats``);
-this module is the shared substrate they now sit on, plus the registry
-that makes all of them visible through one namespace.
+Every component in the serving stack keeps its functional counters
+(wire bytes, dispatch outcomes, serving sheds) in one
+:class:`CounterSet`; this module is that shared substrate, plus the
+registry that makes all of them visible through one namespace.
 
 Design rules, in order:
 
@@ -46,6 +46,7 @@ import numpy as np
 
 __all__ = [
     "Counter",
+    "CounterSet",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
@@ -59,7 +60,7 @@ class Counter:
     """A monotonically growing count, incremented under a lock.
 
     The lock is what makes ``inc`` safe from any thread (the
-    "atomic-increment-under-GIL" pattern the stats views share); the
+    "atomic-increment-under-GIL" pattern every counter set shares); the
     plain ``value`` read is a single atomic load and needs none.
     """
 
@@ -75,17 +76,87 @@ class Counter:
         with self._lock:
             self._value += n
 
-    def set(self, value) -> None:
-        """Overwrite the count (stats-view property setters only)."""
-        with self._lock:
-            self._value = value
-
     @property
     def value(self):
         return self._value
 
     def snapshot_value(self):
         return self._value
+
+
+class CounterSet:
+    """A fixed set of named counters under one lock, read as attributes.
+
+    The functional counters of a component (a transport's wire bytes,
+    a dispatcher's outcomes, a serving frontend's sheds and flush
+    reasons) live in one set.  ``inc``/``set_max`` mutate under the
+    set's lock, so they are safe from any thread; ``stats.frames_sent``
+    is a plain instance attribute (one atomic load, no lock), and
+    assigning to it raises -- a ``+=`` from two threads would lose
+    updates.  The set is a registry collector yielding
+    ``<prefix>.<field>{labels}``.
+    """
+
+    def __init__(
+        self,
+        prefix: str,
+        labels: Optional[Dict[str, object]],
+        fields: Iterable[str],
+    ):
+        self._prefix = prefix
+        self._labels = dict(labels or {})
+        self._lock = threading.Lock()
+        self._fields = tuple(fields)
+        vars(self).update(dict.fromkeys(self._fields, 0))
+
+    def __setattr__(self, name: str, value) -> None:
+        if not name.startswith("_"):
+            raise AttributeError(
+                f"counter {name!r} changes only through inc()/set_max()"
+            )
+        object.__setattr__(self, name, value)
+
+    def inc(self, name: str, n: int = 1) -> None:
+        """Add ``n`` to one counter (safe from any thread)."""
+        counts = vars(self)
+        with self._lock:
+            counts[name] += n
+
+    def set_max(self, name: str, value) -> None:
+        """Raise one counter to ``value`` if that is higher (high-water mark)."""
+        counts = vars(self)
+        with self._lock:
+            if value > counts[name]:
+                counts[name] = value
+
+    def snapshot(self) -> Dict[str, int]:
+        """Every counter as a plain dict, in field order."""
+        counts = vars(self)
+        return {name: counts[name] for name in self._fields}
+
+    def obs_metrics(self):
+        """Registry collector hook: ``<prefix>.<field>{labels}``."""
+        counts = vars(self)
+        for name in self._fields:
+            yield (
+                f"{self._prefix}.{name}", self._labels,
+                _CounterField(counts, name),
+            )
+
+
+class _CounterField:
+    """One :class:`CounterSet` field as a registry counter."""
+
+    __slots__ = ("_counts", "_name")
+
+    kind = "counter"
+
+    def __init__(self, counts: Dict[str, int], name: str):
+        self._counts = counts
+        self._name = name
+
+    def snapshot_value(self):
+        return self._counts[self._name]
 
 
 class Gauge:
@@ -415,8 +486,8 @@ class MetricsRegistry:
       objects and every record call is an empty method.
     * :meth:`attach` -- register a *collector*: any object with an
       ``obs_metrics()`` method yielding ``(name, labels, metric)``
-      triples.  The stats views (``WireStats``, ``DispatchStats``,
-      ``FrontendStats``) attach themselves here; the registry keeps
+      triples.  Every :class:`CounterSet` (wire, dispatch, serving
+      counters) is attached here; the registry keeps
       only a weak reference, so a torn-down transport's counters fall
       out of the snapshot with the transport.  Collectors contribute
       at snapshot time regardless of ``enabled`` -- their counters are
@@ -475,7 +546,7 @@ class MetricsRegistry:
         return self._get("histogram", name, labels)
 
     # ------------------------------------------------------------------
-    # Collectors (stats views pulled at snapshot time)
+    # Collectors (counter sets pulled at snapshot time)
     # ------------------------------------------------------------------
     def attach(self, collector) -> None:
         """Register an ``obs_metrics()`` provider (weakly referenced)."""

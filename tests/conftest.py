@@ -10,6 +10,13 @@ from repro.structures.hierarchy import BitHierarchy, ExplicitHierarchy
 from repro.structures.product import ProductDomain, line_domain
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers",
+        "slow: long-running end-to-end tests (deselect with -m 'not slow')",
+    )
+
+
 @pytest.fixture
 def rng():
     """A deterministic random generator for tests."""

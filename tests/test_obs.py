@@ -11,8 +11,8 @@ Covers the observability contracts end to end:
   Prometheus exposition, JSONL timeline records, and the
   disabled-registry null-object contract;
 * spans -- nesting/parent links, error tagging, ring bounds;
-* thread safety -- the atomic-increment-under-GIL pattern the stats
-  views migrated onto;
+* thread safety -- the atomic-increment-under-GIL pattern of
+  :class:`~repro.obs.CounterSet` and its owners;
 * :class:`~repro.obs.AccuracyProbe` -- 30-seed agreement with the
   offline discrepancy computation, tau drift tracking;
 * the acceptance stack -- one enabled registry observing a
@@ -31,12 +31,17 @@ import pytest
 
 from repro import obs
 from repro.core.types import Dataset
-from repro.distributed import Coordinator, ServingFrontend, distributed_build
+from repro.distributed import (
+    AsyncDispatcher,
+    Coordinator,
+    InProcessTransport,
+    ServingFrontend,
+    TCPTransport,
+    distributed_build,
+)
 from repro.distributed.codec import from_bytes, to_bytes
-from repro.distributed.dispatch import DispatchStats
-from repro.distributed.frontend import FrontendStats
-from repro.distributed.transport import WireStats
-from repro.obs import AccuracyProbe, Histogram, MetricsRegistry
+from repro.distributed.frontend import ServedAnswer, _QueueEntry
+from repro.obs import AccuracyProbe, CounterSet, Histogram, MetricsRegistry
 from repro.stream import StreamEngine, tumbling
 from repro.structures.ranges import Box
 
@@ -208,15 +213,13 @@ class TestRegistry:
 
     def test_collectors_sum_same_key(self, registry):
         """Two same-name transports' counters sum in the snapshot."""
-        first, second = WireStats("tcp"), WireStats("tcp")
-        registry.attach(first)
-        registry.attach(second)
-        first.frames_sent += 3
-        second.frames_sent += 4
+        first, second = TCPTransport(), TCPTransport()  # attach on init
+        first.stats.inc("frames_sent", 3)
+        second.stats.inc("frames_sent", 4)
         assert registry.snapshot()["wire.frames_sent{transport=tcp}"] == 7
 
     def test_collector_weakref_drops_with_owner(self, registry):
-        stats = WireStats("gone")
+        stats = CounterSet("wire", {"transport": "gone"}, ("frames_sent",))
         registry.attach(stats)
         assert "wire.frames_sent{transport=gone}" in registry.snapshot()
         del stats
@@ -288,9 +291,9 @@ class TestDisabledRegistry:
     def test_disabled_registry_still_pulls_collectors(self):
         """Functional stats (wire accounting) surface either way."""
         reg = MetricsRegistry(enabled=False)
-        stats = WireStats("pipe")
+        stats = CounterSet("wire", {"transport": "pipe"}, ("bytes_sent",))
         reg.attach(stats)
-        stats.bytes_sent += 123
+        stats.inc("bytes_sent", 123)
         assert reg.snapshot()["wire.bytes_sent{transport=pipe}"] == 123
 
 
@@ -340,14 +343,18 @@ class TestSpans:
 # ----------------------------------------------------------------------
 
 class TestThreadSafety:
-    def _hammer(self, work, threads=8):
-        barrier = threading.Barrier(threads)
+    def _hammer(self, *works, threads=8):
+        """Run every work function on ``threads`` threads at once."""
+        barrier = threading.Barrier(threads * len(works))
 
-        def run():
+        def run(work):
             barrier.wait()
             work()
 
-        pool = [threading.Thread(target=run) for _ in range(threads)]
+        pool = [
+            threading.Thread(target=run, args=(work,))
+            for work in works for _ in range(threads)
+        ]
         for thread in pool:
             thread.start()
         for thread in pool:
@@ -358,15 +365,87 @@ class TestThreadSafety:
         self._hammer(lambda: [counter.inc() for _ in range(5000)])
         assert counter.value == 8 * 5000
 
+    def test_counter_set_inc_loses_no_updates(self):
+        """Two fields of one set, each hammered by 8 threads at once."""
+        stats = CounterSet("t", None, ("a", "b"))
+        self._hammer(
+            lambda: [stats.inc("a") for _ in range(5000)],
+            lambda: [stats.inc("b", 2) for _ in range(5000)],
+        )
+        assert stats.a == 8 * 5000
+        assert stats.b == 2 * 8 * 5000
+
+    def test_counter_set_set_max_keeps_true_maximum(self):
+        stats = CounterSet("t", None, ("depth",))
+        values = np.random.default_rng(3).permutation(8 * 5000)
+        chunks = iter(np.array_split(values, 8))
+        lock = threading.Lock()
+
+        def work():
+            with lock:
+                chunk = next(chunks)
+            for value in chunk.tolist():
+                stats.set_max("depth", value)
+
+        self._hammer(work)
+        assert stats.depth == 8 * 5000 - 1
+
+    def test_counter_set_reads_and_collects(self):
+        stats = CounterSet("wire", {"transport": "x"}, ("frames", "bytes"))
+        stats.inc("bytes", 7)
+        assert stats.bytes == 7 and stats.frames == 0
+        assert stats.snapshot() == {"frames": 0, "bytes": 7}
+        assert [(name, labels, metric.snapshot_value())
+                for name, labels, metric in stats.obs_metrics()] == [
+            ("wire.frames", {"transport": "x"}, 0),
+            ("wire.bytes", {"transport": "x"}, 7),
+        ]
+        with pytest.raises(AttributeError):
+            stats.missing
+        with pytest.raises(KeyError):
+            stats.inc("missing")
+        with pytest.raises(AttributeError):  # only inc() may write
+            stats.bytes += 1
+
     def test_dispatch_stats_inc_loses_no_updates(self):
-        stats = DispatchStats()
-        self._hammer(lambda: [stats.inc("failed") for _ in range(5000)])
-        assert stats.failed == 8 * 5000
+        transport = InProcessTransport()
+        transport.start(1)
+        dispatcher = AsyncDispatcher(transport)
+        try:
+            self._hammer(
+                lambda: [dispatcher.stats.inc("failed") for _ in range(5000)]
+            )
+            assert dispatcher.stats.failed == 8 * 5000
+        finally:
+            dispatcher.stop()
+            transport.stop()
 
     def test_frontend_stats_batch_hist_under_contention(self):
-        stats = FrontendStats()
-        self._hammer(lambda: [stats.record_batch(5) for _ in range(5000)])
-        assert stats.batch_hist == {8: 8 * 5000}
+        """Concurrent flushes of 5-query batches lose no histogram count."""
+
+        class Zeros:
+            def query_many(self, queries):
+                return [0.0] * len(queries)
+
+        class Supplier:
+            version = 0
+
+            def snapshot(self, method):
+                return Zeros()
+
+        service = ServingFrontend(Supplier(), start=False)
+
+        def work():
+            batch = [
+                _QueueEntry("m", None,
+                            ServedAnswer(service._completion, "t"), 0.0)
+                for _ in range(5)
+            ]
+            for _ in range(5000):
+                service._answer(batch)
+
+        self._hammer(work)
+        assert service.stats()["batch_hist"] == {8: 8 * 5000}
 
     def test_histogram_observe_under_contention(self):
         hist = Histogram()
@@ -556,6 +635,79 @@ class TestFullStackSnapshot:
         text = obs.expose(snap)
         assert "repro_dispatch_completed" in text
         assert "repro_stream_items_ingested" in text
+
+    #: ``wire.*``/``dispatch.*``/``serving.*`` keys of this stack when
+    #: every component kept its own stats class.
+    PARENT_KEYS = {
+        "dispatch.backpressure_waits", "dispatch.completed",
+        "dispatch.dispatched", "dispatch.failed", "dispatch.max_queue_depth",
+        "dispatch.orphans", "dispatch.queue_depth", "dispatch.rejected",
+        "dispatch.reply_latency_seconds", "dispatch.submitted",
+        "serving.batch_size",
+        "serving.batteries{scope=frontend}",
+        "serving.batteries{scope=serving}",
+        "serving.evictions{scope=frontend}",
+        "serving.evictions{scope=serving}",
+        "serving.flushes_deadline", "serving.flushes_forced",
+        "serving.flushes_size",
+        "serving.flushes{scope=frontend}", "serving.flushes{scope=serving}",
+        "serving.hits{scope=frontend}", "serving.hits{scope=serving}",
+        "serving.misses{scope=frontend}", "serving.misses{scope=serving}",
+        "serving.queries{scope=frontend}", "serving.queries{scope=serving}",
+        "serving.queue_depth", "serving.shed_tenant",
+        "serving.shed{scope=frontend}", "serving.shed{scope=serving}",
+        "serving.submitted{scope=frontend}",
+        "serving.submitted{scope=serving}",
+        "serving.tenant_latency_seconds{tenant=default}",
+        "serving.tenant_served{tenant=default}",
+        "wire.bytes_received{transport=inprocess}",
+        "wire.bytes_sent{transport=inprocess}",
+        "wire.frames_received{transport=inprocess}",
+        "wire.frames_sent{transport=inprocess}",
+        "wire.shm_bytes{transport=inprocess}",
+        "wire.shm_frames{transport=inprocess}",
+    }
+    #: The flush-reason counters joined the ``scope=serving`` set.
+    RENAMED = {
+        name: name + "{scope=serving}"
+        for name in ("serving.flushes_size", "serving.flushes_deadline",
+                     "serving.flushes_forced", "serving.shed_tenant")
+    }
+    #: Counters no component writes any more: the cache counters of the
+    #: service's own set (they live on its per-supplier frontends) and
+    #: the submit/flush/shed counters of ``QueryFrontend``.
+    DROPPED = {
+        f"serving.{name}{{scope=serving}}"
+        for name in ("hits", "misses", "evictions", "batteries", "queries")
+    } | {
+        f"serving.{name}{{scope=frontend}}"
+        for name in ("submitted", "flushes", "shed")
+    }
+    ADDED = {
+        f"serving.{name}{{scope=serving}}"
+        for name in ("max_queue_depth", "fallbacks", "failed")
+    }
+
+    def test_counter_set_registry_keys(self, registry):
+        data = dataset(n=500)
+        with Coordinator("inprocess", 2) as coordinator:
+            distributed_build("exact", data, 100, coordinator=coordinator)
+            service = ServingFrontend(_static_supplier(data),
+                                      batch_size=4, start=False)
+            service.submit("exact", battery()[0])
+            service.flush()
+            snap = registry.snapshot()
+            service.close()
+        got = {
+            key for key in snap
+            if key.split(".")[0] in ("wire", "dispatch", "serving")
+        }
+        expected = (
+            self.PARENT_KEYS - self.DROPPED - set(self.RENAMED)
+        ) | set(self.RENAMED.values()) | self.ADDED
+        assert got == expected
+        assert snap["serving.flushes_forced{scope=serving}"] == 1
+        assert snap["serving.max_queue_depth{scope=serving}"] == 1
 
     def test_dispatcher_reply_latency_recorded(self, registry):
         data = dataset(n=800)

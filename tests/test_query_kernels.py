@@ -6,7 +6,7 @@ two paths share float semantics -- the dense q-digest kernel -- and
 within 1e-9 relative tolerance otherwise, the documented contract for
 kernels that only reorder the floating-point summation).  Also covers
 the query-plan compiler (flat + padded layouts, per-object memos),
-the batched dyadic decomposition, frontend micro-batching parity and
+the batched dyadic decomposition, serving micro-batch parity and
 the stream engine's shared-plan battery path.
 """
 
@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.core.types import Dataset
-from repro.distributed.frontend import QueryFrontend
+from repro.distributed.frontend import QueryFrontend, ServingFrontend
 from repro.engine.registry import build
 from repro.stream.engine import StreamEngine
 from repro.structures.dyadic import (
@@ -281,6 +281,8 @@ class _StaticSupplier:
 
 
 class TestFrontendMicroBatching:
+    """``ServingFrontend(start=False)`` batches one caller's queries."""
+
     @pytest.fixture
     def served(self):
         rng = np.random.default_rng(9)
@@ -293,70 +295,63 @@ class TestFrontendMicroBatching:
         queries = _battery(rng, 1, size, n_queries=40)
         return summaries, queries, float(data.weights.sum())
 
+    @staticmethod
+    def _service(summaries, batch_size=1000):
+        return ServingFrontend(
+            _StaticSupplier(summaries), batch_size=batch_size,
+            max_pending=1000, tenant_share=1.0, start=False,
+        )
+
     def test_parity_with_one_at_a_time(self, served):
         summaries, queries, scale = served
         one = QueryFrontend(_StaticSupplier(summaries))
-        micro = QueryFrontend(_StaticSupplier(summaries), batch_size=16)
-        for method in summaries:
-            direct = [one.query(method, query) for query in queries]
-            handles = [micro.submit(method, query) for query in queries]
-            micro.flush()
-            got = [handle.result() for handle in handles]
-            np.testing.assert_allclose(
-                got, direct, rtol=1e-9, atol=1e-9 * scale, err_msg=method
-            )
-
-    def test_auto_flush_at_batch_size(self, served):
-        summaries, queries, _scale = served
-        micro = QueryFrontend(_StaticSupplier(summaries), batch_size=4)
-        handles = [micro.submit("exact", q) for q in queries[:4]]
-        assert all(handle.ready for handle in handles)  # hit batch_size
-        assert micro.stats.flushes == 1
-
-    def test_lazy_flush_on_result(self, served):
-        summaries, queries, _scale = served
-        micro = QueryFrontend(_StaticSupplier(summaries), batch_size=64)
-        handle = micro.submit("exact", queries[0])
-        other = micro.submit("qdigest", queries[1])
-        assert not handle.ready and not other.ready
-        value = handle.result()  # forces the flush, resolving both
-        assert handle.ready and other.ready
-        one = QueryFrontend(_StaticSupplier(summaries))
-        assert value == pytest.approx(one.query("exact", queries[0]),
-                                      rel=1e-9)
+        with self._service(summaries, batch_size=16) as micro:
+            for method in summaries:
+                direct = [one.query(method, query) for query in queries]
+                handles = []
+                for index, query in enumerate(queries, 1):
+                    handles.append(micro.submit(method, query))
+                    if index % 16 == 0:
+                        micro.flush()
+                micro.flush()
+                got = [handle.result() for handle in handles]
+                np.testing.assert_allclose(
+                    got, direct, rtol=1e-9, atol=1e-9 * scale,
+                    err_msg=method,
+                )
 
     def test_interleaved_methods_one_flush(self, served):
         summaries, queries, scale = served
-        micro = QueryFrontend(_StaticSupplier(summaries), batch_size=1000)
         expected = []
         handles = []
         one = QueryFrontend(_StaticSupplier(summaries))
-        for i, query in enumerate(queries):
-            method = ("sketch", "wavelet", "qdigest")[i % 3]
-            handles.append(micro.submit(method, query))
-            expected.append(one.query(method, query))
-        assert micro.flush() == len(queries)
-        np.testing.assert_allclose(
-            [handle.result() for handle in handles], expected,
-            rtol=1e-9, atol=1e-9 * scale,
-        )
-        assert micro.stats.flushes == 1
-        assert micro.stats.submitted == len(queries)
+        with self._service(summaries) as micro:
+            for i, query in enumerate(queries):
+                method = ("sketch", "wavelet", "qdigest")[i % 3]
+                handles.append(micro.submit(method, query))
+                expected.append(one.query(method, query))
+            assert micro.flush() == len(queries)
+            np.testing.assert_allclose(
+                [handle.result() for handle in handles], expected,
+                rtol=1e-9, atol=1e-9 * scale,
+            )
+            stats = micro.stats()
+        assert stats["flushes"] == 1
+        assert stats["submitted"] == len(queries)
 
     def test_batch_size_validation(self, served):
         summaries, _queries, _scale = served
         with pytest.raises(ValueError):
-            QueryFrontend(_StaticSupplier(summaries), batch_size=0)
+            self._service(summaries, batch_size=0)
 
     def test_flush_failure_isolates_groups(self, served):
         """One group's kernel failure must not orphan the others."""
         summaries, queries, _scale = served
-        micro = QueryFrontend(_StaticSupplier(summaries), batch_size=1000)
-        good = micro.submit("exact", queries[0])
-        bad = micro.submit("sketch", Box((0, 0), (3, 3)))  # 2-D vs 1-D
-        with pytest.raises(ValueError):
-            micro.flush()
-        assert good.ready and bad.ready
+        with self._service(summaries) as micro:
+            good = micro.submit("exact", queries[0])
+            bad = micro.submit("sketch", Box((0, 0), (3, 3)))  # 2-D vs 1-D
+            assert micro.flush() == 2  # the error lands on the handle
+            assert good.done() and bad.done()
         one = QueryFrontend(_StaticSupplier(summaries))
         assert good.result() == pytest.approx(
             one.query("exact", queries[0]), rel=1e-9
@@ -367,29 +362,13 @@ class TestFrontendMicroBatching:
     def test_bad_query_does_not_poison_same_method_group(self, served):
         """Per-query fallback: co-batched valid queries still answer."""
         summaries, queries, _scale = served
-        micro = QueryFrontend(_StaticSupplier(summaries), batch_size=1000)
-        good = micro.submit("sketch", queries[0])
-        bad = micro.submit("sketch", Box((0, 0), (3, 3)))  # 2-D vs 1-D
-        with pytest.raises(ValueError):
-            micro.flush()
+        with self._service(summaries) as micro:
+            good = micro.submit("sketch", queries[0])
+            bad = micro.submit("sketch", Box((0, 0), (3, 3)))  # 2-D vs 1-D
+            assert micro.flush() == 2
         one = QueryFrontend(_StaticSupplier(summaries))
         assert good.result() == pytest.approx(
             one.query("sketch", queries[0]), rel=1e-9
-        )
-        with pytest.raises(ValueError):
-            bad.result()
-
-    def test_auto_flush_never_raises_for_neighbor_failure(self, served):
-        """submit() must hand back the caller's handle even when the
-        auto-flush hits another group's kernel failure."""
-        summaries, queries, _scale = served
-        micro = QueryFrontend(_StaticSupplier(summaries), batch_size=2)
-        bad = micro.submit("sketch", Box((0, 0), (3, 3)))  # 2-D vs 1-D
-        good = micro.submit("exact", queries[0])  # triggers auto-flush
-        assert good.ready and bad.ready
-        one = QueryFrontend(_StaticSupplier(summaries))
-        assert good.result() == pytest.approx(
-            one.query("exact", queries[0]), rel=1e-9
         )
         with pytest.raises(ValueError):
             bad.result()

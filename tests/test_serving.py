@@ -257,6 +257,11 @@ class TestServingFlush:
             assert first.result(1.0) == second.result(1.0) > 0
             with pytest.raises(Exception):
                 broken.result(1.0)
+            stats = service.stats()
+        # One method group fell back to per-query answering; only the
+        # bad query resolved with an error.
+        assert stats["fallbacks"] == 1
+        assert stats["failed"] == 1
 
 
 class TestAdmissionControl:
